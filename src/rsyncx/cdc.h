@@ -20,6 +20,8 @@ struct Chunk {
   std::uint64_t offset = 0;
   std::uint64_t length = 0;
   Md5::Digest id{};  ///< content hash used for deduplication
+
+  friend bool operator==(const Chunk&, const Chunk&) = default;
 };
 
 struct CdcParams {

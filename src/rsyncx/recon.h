@@ -236,4 +236,17 @@ class Planner {
 };
 
 }  // namespace recon
+
+/// chunk_file for a new version of data already chunked: `previous` is the
+/// chunking of an earlier version (same params) that matches `data` on
+/// every byte outside `changed`; bytes past either version's end count as
+/// changed without being listed.  Returns exactly chunk_file(data, params),
+/// ids included, but scans and hashes only from the cut before each changed
+/// range until a new cut lands on a cut of `previous` again — every other
+/// chunk is reused with its id.  Charges cdc_scan and strong_hash for the
+/// bytes actually scanned and hashed.
+std::vector<Chunk> rechunk(ByteSpan data, std::span<const Chunk> previous,
+                           std::span<const recon::Region> changed,
+                           const CdcParams& params, CostMeter* meter);
+
 }  // namespace dcfs::rsyncx

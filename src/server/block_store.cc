@@ -4,20 +4,20 @@
 
 namespace dcfs {
 
-BlockHandle BlockStore::put(ByteSpan content) {
+BlockHandle BlockStore::put(ByteSpan content, const BlockHandle* basis,
+                            std::span<const rsyncx::recon::Region> changed) {
   // Boundary scan + chunk hashing are the expensive part; keep them out of
   // the critical section so parallel apply units overlap their CPU work.
-  const std::vector<rsyncx::Chunk> chunks =
-      rsyncx::chunk_file(content, chunking_, nullptr);
-
   BlockHandle handle;
   handle.size = content.size();
-  handle.chunks.reserve(chunks.size());
+  handle.chunks =
+      basis != nullptr
+          ? rsyncx::rechunk(content, basis->chunks, changed, chunking_, nullptr)
+          : rsyncx::chunk_file(content, chunking_, nullptr);
 
   const chk::LockGuard<chk::SharedMutex> lock(mu_);
   logical_bytes_ += content.size();
-  for (const rsyncx::Chunk& chunk : chunks) {
-    handle.chunks.push_back(chunk.id);
+  for (const rsyncx::Chunk& chunk : handle.chunks) {
     const auto [it, inserted] = chunks_.try_emplace(chunk.id);
     if (inserted) {
       it->second.data.assign(
@@ -31,8 +31,10 @@ BlockHandle BlockStore::put(ByteSpan content) {
   return handle;
 }
 
-std::shared_ptr<const BlockHandle> BlockStore::put_shared(ByteSpan content) {
-  auto handle = std::make_unique<BlockHandle>(put(content));
+std::shared_ptr<const BlockHandle> BlockStore::put_shared(
+    ByteSpan content, const BlockHandle* basis,
+    std::span<const rsyncx::recon::Region> changed) {
+  auto handle = std::make_unique<BlockHandle>(put(content, basis, changed));
   return {handle.release(), [this](const BlockHandle* released) {
             release(*released);
             delete released;
@@ -43,8 +45,8 @@ Result<Bytes> BlockStore::get(const BlockHandle& handle) const {
   Bytes out;
   out.reserve(handle.size);
   const chk::SharedLock lock(mu_);
-  for (const Md5::Digest& id : handle.chunks) {
-    const auto it = chunks_.find(id);
+  for (const rsyncx::Chunk& chunk : handle.chunks) {
+    const auto it = chunks_.find(chunk.id);
     if (it == chunks_.end()) {
       return Status{Errc::corruption, "missing chunk"};
     }
@@ -63,22 +65,21 @@ Status BlockStore::visit_range(
   const std::uint64_t end =
       offset + std::min(length, handle.size - offset);  // clamped, no overflow
 
+  // Chunk offsets are in the handle: seek straight to the first chunk
+  // ending past `offset`.
+  auto chunk = std::partition_point(
+      handle.chunks.begin(), handle.chunks.end(),
+      [&](const rsyncx::Chunk& c) { return c.offset + c.length <= offset; });
   const chk::SharedLock lock(mu_);
-  std::uint64_t chunk_start = 0;
-  for (const Md5::Digest& id : handle.chunks) {
-    const auto it = chunks_.find(id);
-    if (it == chunks_.end()) {
+  for (; chunk != handle.chunks.end() && chunk->offset < end; ++chunk) {
+    const auto it = chunks_.find(chunk->id);
+    if (it == chunks_.end() || it->second.data.size() != chunk->length) {
       return Status{Errc::corruption, "missing chunk"};
     }
-    const Bytes& data = it->second.data;
-    const std::uint64_t chunk_end = chunk_start + data.size();
-    if (chunk_end > offset && chunk_start < end) {
-      const std::uint64_t from = std::max(chunk_start, offset) - chunk_start;
-      const std::uint64_t to = std::min(chunk_end, end) - chunk_start;
-      sink(ByteSpan{data.data() + from, to - from});
-    }
-    chunk_start = chunk_end;
-    if (chunk_start >= end) break;
+    const std::uint64_t from = std::max(chunk->offset, offset) - chunk->offset;
+    const std::uint64_t to =
+        std::min(chunk->offset + chunk->length, end) - chunk->offset;
+    sink(ByteSpan{it->second.data.data() + from, to - from});
   }
   return Status::ok();
 }
@@ -86,8 +87,8 @@ Status BlockStore::visit_range(
 void BlockStore::release(const BlockHandle& handle) {
   const chk::LockGuard<chk::SharedMutex> lock(mu_);
   logical_bytes_ -= std::min<std::uint64_t>(logical_bytes_, handle.size);
-  for (const Md5::Digest& id : handle.chunks) {
-    const auto it = chunks_.find(id);
+  for (const rsyncx::Chunk& chunk : handle.chunks) {
+    const auto it = chunks_.find(chunk.id);
     if (it == chunks_.end()) continue;  // double release: ignore
     if (--it->second.refs == 0) {
       unique_bytes_ -= it->second.data.size();

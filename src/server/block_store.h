@@ -40,9 +40,10 @@
 
 namespace dcfs {
 
-/// A stored object: the ordered list of chunk ids composing its content.
+/// A stored object: its chunks in order.  Offsets and lengths ride along
+/// so a later version can be re-chunked from this one (put's `basis`).
 struct BlockHandle {
-  std::vector<Md5::Digest> chunks;
+  std::vector<rsyncx::Chunk> chunks;
   std::uint64_t size = 0;
 
   [[nodiscard]] bool empty() const noexcept { return size == 0; }
@@ -55,13 +56,20 @@ class BlockStore {
 
   /// Stores `content`, deduplicating against everything already stored.
   /// Chunks shared with existing objects only gain a reference.
-  BlockHandle put(ByteSpan content) DCFS_EXCLUDES(mu_);
+  /// `basis`, when given, is a live handle whose object matches `content`
+  /// on every byte outside `changed` (bytes past either end count as
+  /// changed): only the changed ranges are re-chunked and hashed
+  /// (rsyncx::rechunk), and the handle equals the one a plain put returns.
+  BlockHandle put(ByteSpan content, const BlockHandle* basis = nullptr,
+                  std::span<const rsyncx::recon::Region> changed = {})
+      DCFS_EXCLUDES(mu_);
 
   /// `put` wrapped so the store reference follows the handle's lifetime:
   /// the last copy of the returned pointer releases the chunks.  The store
   /// must outlive every handle.
   [[nodiscard]] std::shared_ptr<const BlockHandle> put_shared(
-      ByteSpan content);
+      ByteSpan content, const BlockHandle* basis = nullptr,
+      std::span<const rsyncx::recon::Region> changed = {});
 
   /// Reassembles an object.  Fails with corruption if a chunk is missing
   /// (a release/GC bug or an invalid handle).

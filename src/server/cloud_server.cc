@@ -705,8 +705,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
         if (const auto tomb = ctx.tombstones.find(record.path);
             tomb != ctx.tombstones.end()) {
           entry.history = tomb->second.history;
-          entry.history.push_front(
-              make_version(tomb->second.version, tomb->second.content));
+          entry.history.push_front(make_version(tomb->second));
         }
         files.emplace(record.path, std::move(entry));
       }
@@ -736,8 +735,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
       if (dst != files.end()) {
         // POSIX rename-over-existing: the replaced content stays reachable
         // in the new entry's history for delta bases and conflict copies.
-        moved.history.push_front(
-            make_version(dst->second.version, dst->second.content));
+        moved.history.push_front(make_version(dst->second));
         for (const FileVersion& v : dst->second.history) {
           moved.history.push_back(v);
         }
@@ -780,6 +778,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
       push_history(entry);
       entry.content.resize(record.size, 0);
       entry.version = record.new_version;
+      entry.derived_version = entry.version;  // only the size changed
       if (!staged) ctx.arrivals.push_back(record.path);
       break;
     }
@@ -838,10 +837,13 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
                   entry.content.begin() +
                       static_cast<std::ptrdiff_t>(segment.offset));
         written += segment.data.size();
+        // The next history put re-chunks only the bytes written here.
+        entry.dirty.push_back({segment.offset, segment.data.size()});
       }
       ctx.meter.charge(CostKind::byte_copy, written);
       ctx.meter.charge(CostKind::disk_write, written);
       entry.version = record.new_version;
+      entry.derived_version = entry.version;
       if (!staged) ctx.arrivals.push_back(record.path);
       break;
     }
@@ -1003,15 +1005,18 @@ const Bytes* CloudServer::resolve_base(std::string_view ref,
   return nullptr;
 }
 
-CloudServer::FileVersion CloudServer::make_version(
-    const proto::VersionId& version, const Bytes& content) {
+CloudServer::FileVersion CloudServer::make_version(FileEntry& entry) {
   FileVersion v;
-  v.version = version;
-  if (config_.use_block_store && !content.empty()) {
-    v.blocks = store_.put_shared(content);
+  v.version = entry.version;
+  if (config_.use_block_store && !entry.content.empty()) {
+    const std::shared_ptr<const BlockHandle> basis =
+        entry.derived_version == entry.version ? entry.basis.lock() : nullptr;
+    v.blocks = store_.put_shared(entry.content, basis.get(), entry.dirty);
   } else {
-    v.content = content;
+    v.content = entry.content;
   }
+  entry.basis = v.blocks;
+  entry.dirty.clear();
   return v;
 }
 
@@ -1026,7 +1031,7 @@ const Bytes* CloudServer::version_bytes(const FileVersion& v,
 
 void CloudServer::push_history(FileEntry& entry) {
   if (entry.content.empty() && entry.version.is_null()) return;
-  entry.history.push_front(make_version(entry.version, entry.content));
+  entry.history.push_front(make_version(entry));
   while (entry.history.size() > config_.history_depth) {
     entry.history.pop_back();
   }

@@ -106,6 +106,59 @@ TEST(BlockStoreTest, VersionHistoryDedupScenario) {
   }
 }
 
+TEST(BlockStoreTest, PutFromBasisEqualsPlainPut) {
+  BlockStore incremental;
+  BlockStore plain;
+  Rng rng(8);
+  Bytes content = rng.bytes(1 << 20);
+  BlockHandle basis = incremental.put(content);
+  plain.put(content);
+  for (int version = 0; version < 10; ++version) {
+    std::vector<rsyncx::recon::Region> changed;
+    for (int w = 0; w < 3; ++w) {
+      const Bytes patch = rng.bytes(200 + rng.next_below(4000));
+      const std::size_t at = rng.next_below(content.size() + 2000);
+      if (at + patch.size() > content.size()) {
+        content.resize(at + patch.size(), 0);
+      }
+      std::copy(patch.begin(), patch.end(),
+                content.begin() + static_cast<std::ptrdiff_t>(at));
+      changed.push_back({at, patch.size()});
+    }
+    const BlockHandle next = incremental.put(content, &basis, changed);
+    const BlockHandle reference = plain.put(content);
+    EXPECT_EQ(next.chunks, reference.chunks);
+    EXPECT_EQ(next.size, reference.size);
+    EXPECT_EQ(*incremental.get(next), content);
+    basis = next;
+  }
+  EXPECT_EQ(incremental.unique_bytes(), plain.unique_bytes());
+  EXPECT_EQ(incremental.chunk_count(), plain.chunk_count());
+}
+
+TEST(BlockStoreTest, VisitRangeStreamsExactBytes) {
+  BlockStore store;
+  Rng rng(9);
+  const Bytes data = rng.bytes(300'000);
+  const BlockHandle handle = store.put(data);
+  for (const auto& [offset, length] :
+       {std::pair<std::uint64_t, std::uint64_t>{0, 300'000},
+        {12'345, 40'000},
+        {299'990, 100},
+        {300'000, 5}}) {
+    Bytes seen;
+    ASSERT_TRUE(store
+                    .visit_range(handle, offset, length,
+                                 [&](ByteSpan part) { append(seen, part); })
+                    .is_ok());
+    const std::uint64_t end = std::min<std::uint64_t>(offset + length, 300'000);
+    EXPECT_EQ(seen, Bytes(data.begin() + static_cast<std::ptrdiff_t>(
+                                             std::min<std::uint64_t>(offset,
+                                                                     end)),
+                          data.begin() + static_cast<std::ptrdiff_t>(end)));
+  }
+}
+
 TEST(BlockStoreTest, ManySmallObjects) {
   BlockStore store;
   Rng rng(7);

@@ -7,6 +7,7 @@
 #include "metrics/cost.h"
 #include "rsyncx/cdc.h"
 #include "rsyncx/delta.h"
+#include "rsyncx/recon.h"
 
 namespace dcfs::rsyncx {
 namespace {
@@ -310,6 +311,76 @@ TEST(CdcTest, ContentShiftPreservesMostChunks) {
 
 TEST(CdcTest, EmptyInputYieldsNoChunks) {
   EXPECT_TRUE(chunk_cdc({}, CdcParams::seafile(), nullptr).empty());
+}
+
+TEST(CdcTest, RechunkEqualsFullChunkingAfterEdits) {
+  // Random in-place writes, appends, truncates and extensions (in zero
+  // pages too), with each edit's range listed as changed: rechunk must
+  // reproduce chunk_cdc exactly, ids included.
+  Rng rng(26);
+  for (const CdcParams params :
+       {CdcParams::fine(), CdcParams{64, 256, 1024}, CdcParams{1, 1, 1}}) {
+    Bytes data = rng.bytes(200'000);
+    std::fill(data.begin() + 50'000, data.begin() + 90'000, 0);
+    std::vector<Chunk> chunks = chunk_cdc(data, params, nullptr);
+    for (int step = 0; step < 60; ++step) {
+      std::vector<recon::Region> changed;
+      for (std::uint64_t edits = rng.next_in(0, 4); edits > 0; --edits) {
+        switch (rng.next_below(4)) {
+          case 0: {  // overwrite, possibly past the end
+            const std::uint64_t at = rng.next_below(data.size() + 100);
+            const Bytes patch = rng.bytes(1 + rng.next_below(3000));
+            if (at + patch.size() > data.size()) {
+              data.resize(at + patch.size(), 0);
+            }
+            std::copy(patch.begin(), patch.end(),
+                      data.begin() + static_cast<std::ptrdiff_t>(at));
+            changed.push_back({at, patch.size()});
+            break;
+          }
+          case 1: {  // truncate; a later edit may regrow over the cut bytes
+            const std::uint64_t size = rng.next_below(data.size() + 1);
+            changed.push_back({size, data.size() - size});
+            data.resize(size);
+            break;
+          }
+          case 2: {  // extend with zeros
+            const std::uint64_t grow = rng.next_below(5000);
+            changed.push_back({data.size(), grow});
+            data.resize(data.size() + grow, 0);
+            break;
+          }
+          default: {  // a listed range whose bytes did not change
+            const std::uint64_t at = rng.next_below(data.size() + 1);
+            changed.push_back({at, rng.next_below(500)});
+            break;
+          }
+        }
+      }
+      const std::vector<Chunk> got =
+          rechunk(data, chunks, changed, params, nullptr);
+      const std::vector<Chunk> want = chunk_cdc(data, params, nullptr);
+      ASSERT_EQ(got, want) << "step " << step;
+      chunks = got;
+    }
+  }
+}
+
+TEST(CdcTest, RechunkScansOnlyNearTheWrite) {
+  Rng rng(27);
+  Bytes data = rng.bytes(4 << 20);
+  const std::vector<Chunk> before = chunk_cdc(data, CdcParams::fine(), nullptr);
+  const Bytes page = rng.bytes(4096);
+  std::copy(page.begin(), page.end(), data.begin() + 1'000'000);
+  const std::vector<recon::Region> changed = {{1'000'000, page.size()}};
+
+  CostMeter incremental(CostProfile::pc());
+  CostMeter full(CostProfile::pc());
+  EXPECT_EQ(rechunk(data, before, changed, CdcParams::fine(), &incremental),
+            chunk_cdc(data, CdcParams::fine(), &full));
+  // A 4 KiB write re-hashes a few chunks, not the 4 MiB file.
+  EXPECT_LT(incremental.units_for(CostKind::strong_hash) * 100,
+            full.units_for(CostKind::strong_hash));
 }
 
 TEST(CdcTest, FineParamsMakeSmallChunks) {

@@ -246,6 +246,70 @@ TEST(ServerStoreTest, DisablingBlockStoreKeepsHistoryInline) {
   EXPECT_TRUE(server.fetch_version("/f", {1, 1}).is_ok());
 }
 
+TEST(ServerStoreTest, InPlaceWriteHistoryMatchesFullChunking) {
+  // Writes and truncates put history incrementally; a full-file record and
+  // a conflict copy replace content wholesale in between.  Every retained
+  // version must read back exactly, and the store must hold exactly the
+  // chunks a from-scratch put of those versions would.
+  CloudServer server(CostProfile::pc());
+  Rng rng(8);
+  Bytes content = rng.bytes(300'000);
+  server.apply_record(1, full_file("/f", content, {1, 1}));
+  std::map<std::uint64_t, Bytes> versions{{1, content}};
+  for (std::uint64_t v = 2; v <= 30; ++v) {
+    SyncRecord record;
+    record.path = "/f";
+    record.base_version = {1, v - 1};
+    record.new_version = {1, v};
+    if (v % 7 == 0) {
+      record.kind = OpKind::truncate;
+      record.size = rng.next_below(content.size() + 5000);
+      content.resize(record.size, 0);
+    } else if (v % 11 == 0) {
+      content = rng.bytes(200'000 + rng.next_below(50'000));
+      record = full_file("/f", content, {1, v});
+    } else {
+      record.kind = OpKind::write;
+      std::vector<proto::Segment> segments;
+      for (int s = 0; s < 3; ++s) {
+        const std::uint64_t at = rng.next_below(content.size() + 1000);
+        Bytes data = rng.bytes(1 + rng.next_below(5000));
+        if (at + data.size() > content.size()) {
+          content.resize(at + data.size(), 0);
+        }
+        std::copy(data.begin(), data.end(),
+                  content.begin() + static_cast<std::ptrdiff_t>(at));
+        segments.push_back({at, std::move(data)});
+      }
+      record.payload = proto::encode_segments(segments);
+    }
+    ASSERT_EQ(server.apply_record(1, record).result, Errc::ok) << v;
+    versions[v] = content;
+    // A stale write from another client: a conflict copy whose content
+    // is replaced wholesale, then written in place by its own lineage.
+    if (v % 5 == 0) {
+      SyncRecord stale;
+      stale.kind = OpKind::write;
+      stale.path = "/f";
+      stale.base_version = {1, v - 1};
+      stale.new_version = {2, v};
+      stale.payload = proto::encode_segments({{10, rng.bytes(100)}});
+      EXPECT_EQ(server.apply_record(2, stale).result, Errc::conflict);
+    }
+  }
+
+  BlockStore reference;
+  for (const VersionId& version : server.history("/f")) {
+    if (version == *server.version("/f")) continue;
+    Result<Bytes> stored = server.fetch_version("/f", version);
+    ASSERT_TRUE(stored.is_ok());
+    EXPECT_EQ(*stored, versions.at(version.counter)) << version.counter;
+    reference.put(*stored);
+  }
+  EXPECT_EQ(server.store().unique_bytes(), reference.unique_bytes());
+  EXPECT_EQ(server.store().chunk_count(), reference.chunk_count());
+}
+
 TEST(ServerDeltaTest, DeltaAgainstCurrentVersionAppliesInPlace) {
   CloudServer server(CostProfile::pc());
   Rng rng(1);
