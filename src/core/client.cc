@@ -17,6 +17,10 @@ constexpr std::uint8_t kFrameRecord = 2;
 constexpr std::uint8_t kFrameRecon = 3;
 constexpr std::uint8_t kFrameCredit = 4;
 
+/// Delta::wire_size() of a delta against an empty base: the 24-byte header
+/// plus one literal command's 5-byte header; the literal is the file.
+constexpr std::uint64_t kEmptyBaseDeltaOverhead = 29;
+
 /// Wire size of the classic one-round exchange's signature download for a
 /// `base_size` file — the traffic reference recon savings are measured
 /// against (rsyncx::Signature::wire_size with strong digests).
@@ -75,6 +79,7 @@ DeltaCfsClient::DeltaCfsClient(FileSystem& local, Transport& transport,
     stats_.acks_conflict = &reg.counter("client.acks.conflict");
     stats_.acks_error = &reg.counter("client.acks.error");
     stats_.forwards = &reg.counter("client.forwards.applied");
+    stats_.forward_base_missing = &reg.counter("client.forward.base_missing");
     stats_.sigcache_hits = &reg.counter("client.sigcache.hits");
     stats_.sigcache_misses = &reg.counter("client.sigcache.misses");
     stats_.bundle_frames = &reg.counter("net.bundle.frames");
@@ -714,6 +719,15 @@ void DeltaCfsClient::maybe_inplace_delta(const std::string& path) {
       config_.inplace_delta_threshold * static_cast<double>(st->size)) {
     obs::inc(stats_.delta_kept_rpc);
     return;  // small in-place update: NFS-like RPC is already optimal
+  }
+  if (undo_.original_size(path) == 0) {
+    // Created empty in this undo epoch: the delta against an empty base is
+    // one literal of the whole file, 29 + size bytes on the wire.  Decide
+    // without reading or rebuilding anything.
+    if (kEmptyBaseDeltaOverhead + st->size >= written) {
+      obs::inc(stats_.delta_kept_rpc);
+      return;
+    }
   }
 
   Result<Bytes> current = local_.read_file(path);
@@ -1672,6 +1686,17 @@ void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
     record.payload = std::move(*plain);
     record.compressed = false;
   }
+  // A file_delta reads its base from `base_path`.  Content a forwarded
+  // rename replaced serves only the next record on the same path.
+  const std::string& base_path =
+      record.path2.empty() ? record.path : record.path2;
+  std::optional<Stash> stashed;
+  for (const std::string* touched : {&record.path, &record.path2}) {
+    const auto it = forward_stash_.find(*touched);
+    if (it == forward_stash_.end()) continue;
+    if (*touched == base_path) stashed = std::move(it->second);
+    forward_stash_.erase(it);
+  }
   switch (record.kind) {
     case proto::OpKind::create: {
       if (Result<FileHandle> handle = local_.create(record.path)) {
@@ -1690,12 +1715,23 @@ void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
       local_.unlink(record.path);
       known_versions_.erase(record.path);
       break;
-    case proto::OpKind::rename:
+    case proto::OpKind::rename: {
+      // A file_delta uploaded with this rename may name the content it
+      // replaces as its base (the gedit-style "name already exists"
+      // trigger): keep that content until the next record for the path.
+      const auto replaced = known_versions_.find(record.path2);
+      if (replaced != known_versions_.end()) {
+        if (Result<Bytes> old = local_.read_file(record.path2)) {
+          forward_stash_[record.path2] =
+              Stash{std::move(*old), replaced->second};
+        }
+      }
       local_.rename(record.path, record.path2);
       known_versions_.erase(record.path);
       known_versions_[record.path2] = record.new_version;
       if (checksums_) checksums_->on_rename(record.path, record.path2);
       break;
+    }
     case proto::OpKind::link:
       local_.link(record.path, record.path2);
       known_versions_[record.path2] = record.new_version;
@@ -1725,12 +1761,22 @@ void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
     case proto::OpKind::file_delta: {
       Result<rsyncx::Delta> delta = rsyncx::decode_delta(record.payload);
       if (!delta) break;
-      const std::string& ref =
-          record.path2.empty() ? record.path : record.path2;
-      Result<Bytes> base = local_.read_file(ref);
-      if (!base) break;
-      Result<Bytes> rebuilt = rsyncx::apply_delta(*base, *delta);
-      if (!rebuilt) break;
+      // The base is the version the record names: the file at base_path,
+      // unless a forwarded rename has just replaced it.
+      Result<Bytes> base =
+          stashed && stashed->version == record.base_version
+              ? Result<Bytes>(std::move(stashed->content))
+              : local_.read_file(base_path);
+      Result<Bytes> rebuilt =
+          base ? rsyncx::apply_delta(*base, *delta) : base.status();
+      if (!rebuilt) {
+        ++forward_base_missing_;
+        obs::inc(stats_.forward_base_missing);
+        DCFS_LOG_WARN("client", "forwarded delta has no base",
+                      {"path", record.path},
+                      {"base_version", proto::to_string(record.base_version)});
+        break;
+      }
       meter_.charge(CostKind::byte_copy, rebuilt->size());
       local_.write_file(record.path, *rebuilt);
       known_versions_[record.path] = record.new_version;

@@ -224,6 +224,11 @@ class DeltaCfsClient final : public OpSink {
   [[nodiscard]] std::uint64_t forwards_applied() const noexcept {
     return forwards_applied_;
   }
+  /// Forwarded file_deltas dropped because their base could not be
+  /// resolved locally (client.forward.base_missing).
+  [[nodiscard]] std::uint64_t forward_base_missing() const noexcept {
+    return forward_base_missing_;
+  }
   [[nodiscard]] const ClientConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::optional<proto::VersionId> known_version(
       std::string_view path) const;
@@ -532,6 +537,7 @@ class DeltaCfsClient final : public OpSink {
     obs::Counter* acks_conflict = nullptr;
     obs::Counter* acks_error = nullptr;
     obs::Counter* forwards = nullptr;
+    obs::Counter* forward_base_missing = nullptr;
     obs::Counter* sigcache_hits = nullptr;
     obs::Counter* sigcache_misses = nullptr;
     obs::Counter* bundle_frames = nullptr;
@@ -580,6 +586,11 @@ class DeltaCfsClient final : public OpSink {
 
   /// rename-over-existing stash: destination -> old content+version.
   std::map<std::string, Stash> stash_;
+  /// Peer side of the same pattern: content a forwarded rename replaced,
+  /// by destination.  A file_delta forwarded after the rename names that
+  /// content as its base (by version); the entry lives until the next
+  /// forwarded record for its path.
+  std::map<std::string, Stash> forward_stash_;
   LinkGroups links_;
   /// version the cloud holds for files we preserved on unlink.
   std::map<std::string, proto::VersionId> preserved_versions_;
@@ -628,6 +639,7 @@ class DeltaCfsClient final : public OpSink {
   std::uint64_t conflicts_acked_ = 0;
   std::uint64_t errors_acked_ = 0;
   std::uint64_t forwards_applied_ = 0;
+  std::uint64_t forward_base_missing_ = 0;
 };
 
 }  // namespace dcfs

@@ -77,6 +77,16 @@ class CostMeter {
                      static_cast<std::uint64_t>(profile_->per_op[i]) * 16;
   }
 
+  /// Same units as `times` calls of charge(kind, bytes), in one add (hot
+  /// loops count their charges and settle them once).
+  void charge_repeated(CostKind kind, std::uint64_t bytes,
+                       std::uint64_t times) noexcept {
+    const auto i = static_cast<std::size_t>(kind);
+    units_x16_[i] += times * (bytes * profile_->per_byte_x16[i] +
+                              static_cast<std::uint64_t>(profile_->per_op[i]) *
+                                  16);
+  }
+
   /// Charges only the fixed per-op cost (e.g. a syscall with no payload).
   void charge_op(CostKind kind) noexcept { charge(kind, 0); }
 

@@ -68,9 +68,12 @@ void WorkerPool::worker_loop(std::size_t worker_index) {
     if (auto job = self.queue.pop()) {
       Batch* batch = *job;
       run_batch(*batch, worker_index);
+      // Detach under done_mu: the caller reads `refs` only while holding
+      // it, so it cannot see zero, return and free the stack-allocated
+      // batch until this worker has released the lock for good.
+      const chk::LockGuard<chk::Mutex> lock(batch->done_mu);
       if (batch->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         // Last worker out: wake the caller (it also waits on completion).
-        const chk::LockGuard<chk::Mutex> lock(batch->done_mu);
         batch->done_cv.notify_all();
       }
       continue;

@@ -15,11 +15,15 @@
 // stitched output and charges identical to one serial scan).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <bit>
 #include <cstring>
 #include <limits>
 #include <optional>
-#include <unordered_map>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "common/checksum.h"
 #include "rsyncx/delta.h"
@@ -82,22 +86,86 @@ inline void splice_command(Delta& delta, Command&& cmd) {
 /// Weak-checksum index over a signature's full-sized blocks; the short tail
 /// block (if any) is kept aside for the end-of-target match.  Built once and
 /// shared read-only by every region scan.
-struct WeakIndex {
-  std::unordered_multimap<std::uint32_t, std::uint32_t> map;  ///< weak -> block
-  std::optional<std::uint32_t> tail;  ///< index of the short final block
+///
+/// Most rolled positions match no block, so a lookup first tests one bit of
+/// an 8 KiB filter (it stays in L1) keyed on the digest's two halves folded
+/// together.  Only a set bit goes on to the flat entry array, sorted by weak
+/// value, through a directory with at least one bucket per entry keyed on
+/// the weak value's top bits: a bucket is a contiguous run of the array, so
+/// a lookup costs two directory loads and a search of one short run at any
+/// base size.  Entries with equal weak values are kept in descending block order
+/// (newest first): the greedy scan takes the first candidate that confirms,
+/// so this order decides which of several identical base blocks a copy
+/// names, and with it the delta's bytes.
+class WeakIndex {
+ public:
+  struct Entry {
+    std::uint32_t weak;
+    std::uint32_t block;
+  };
 
   static WeakIndex build(const Signature& signature) {
     WeakIndex index;
-    index.map.reserve(signature.block_count());
+    index.entries_.reserve(signature.block_count());
     for (std::uint32_t block = 0; block < signature.block_count(); ++block) {
       if (signature.block_length(block) == signature.block_size) {
-        index.map.emplace(signature.weak[block], block);
+        index.entries_.push_back({signature.weak[block], block});
+        const std::uint32_t key = filter_key(signature.weak[block]);
+        index.filter_[key / 64] |= std::uint64_t{1} << (key % 64);
       } else {
         index.tail = block;
       }
     }
+    std::sort(index.entries_.begin(), index.entries_.end(),
+              [](const Entry& x, const Entry& y) {
+                return x.weak != y.weak ? x.weak < y.weak : x.block > y.block;
+              });
+    // At least one bucket per entry (2^bits > entries).
+    const int bits = std::clamp<int>(
+        static_cast<int>(std::bit_width(index.entries_.size())), 1, 24);
+    index.shift_ = 32 - bits;
+    index.buckets_.assign((std::size_t{1} << bits) + 1, 0);
+    for (const Entry& entry : index.entries_) {
+      ++index.buckets_[(entry.weak >> index.shift_) + 1];
+    }
+    for (std::size_t b = 1; b < index.buckets_.size(); ++b) {
+      index.buckets_[b] += index.buckets_[b - 1];
+    }
     return index;
   }
+
+  /// False when no block has weak value `weak`; true may be a false hit.
+  [[nodiscard]] bool may_contain(std::uint32_t weak) const noexcept {
+    const std::uint32_t key = filter_key(weak);
+    return ((filter_[key / 64] >> (key % 64)) & 1) != 0;
+  }
+
+  /// The blocks whose weak value is `weak`, newest first.
+  [[nodiscard]] std::span<const Entry> candidates(
+      std::uint32_t weak) const noexcept {
+    if (!may_contain(weak)) return {};
+    const std::uint32_t bucket = weak >> shift_;
+    const Entry* const run_end = entries_.data() + buckets_[bucket + 1];
+    const Entry* const first = std::lower_bound(
+        entries_.data() + buckets_[bucket], run_end, weak,
+        [](const Entry& entry, std::uint32_t w) { return entry.weak < w; });
+    const Entry* last = first;
+    while (last != run_end && last->weak == weak) ++last;
+    return {first, last};
+  }
+
+  std::optional<std::uint32_t> tail;  ///< index of the short final block
+
+ private:
+  static std::uint32_t filter_key(std::uint32_t weak) noexcept {
+    return (weak ^ (weak >> 16)) & 0xFFFF;
+  }
+
+  std::vector<Entry> entries_;  ///< sorted by weak, then block descending
+  /// Bucket b (weak >> shift_ == b) is entries_[buckets_[b], buckets_[b+1]).
+  std::vector<std::uint32_t> buckets_;
+  int shift_ = 31;
+  std::array<std::uint64_t, 1024> filter_{};  ///< 2^16 bits
 };
 
 /// How a region scan handed control to its successor.
@@ -144,7 +212,28 @@ RegionScanResult scan_blocks(const Signature& signature, ByteSpan target,
     charge(entry_meter, CostKind::rolling_hash, block_size);
   }
 
+  // Each one-byte roll costs charge(rolling_hash, 1); the rolls are counted
+  // here and charged once on the way out.
+  std::uint64_t rolls = 0;
+  const auto settle_rolls = [&] {
+    if (meter != nullptr) {
+      meter->charge_repeated(CostKind::rolling_hash, 1, rolls);
+    }
+  };
+
+  // Positions below `fast_end` have a next byte inside the target and lie
+  // before the region boundary, so a position the filter rejects just rolls.
+  const std::size_t last_start =
+      target.size() >= block_size ? target.size() - block_size : 0;
+  const std::size_t fast_end = is_last ? last_start
+                                       : std::min(last_start, limit);
+
   while (pos + block_size <= target.size()) {
+    while (pos < fast_end && !index.may_contain(rolling.digest())) {
+      rolling.roll(target[pos], target[pos + block_size]);
+      ++rolls;
+      ++pos;
+    }
     if (!is_last && pos >= limit) {
       // Rolled across the region boundary: the successor region owns
       // everything from `limit` on.
@@ -152,15 +241,15 @@ RegionScanResult scan_blocks(const Signature& signature, ByteSpan target,
       result.exit_pos = pos;
       emit_literal(result.delta, target.subspan(literal_start,
                                                 pos - literal_start));
+      settle_rolls();
       return result;
     }
     const std::uint32_t weak = rolling.digest();
     std::uint32_t matched = 0;
     bool found = false;
-    auto [it, end] = index.map.equal_range(weak);
-    for (; it != end; ++it) {
-      if (confirm(it->second, target.subspan(pos, block_size), meter)) {
-        matched = it->second;
+    for (const WeakIndex::Entry& entry : index.candidates(weak)) {
+      if (confirm(entry.block, target.subspan(pos, block_size), meter)) {
+        matched = entry.block;
         found = true;
         break;
       }
@@ -179,6 +268,7 @@ RegionScanResult scan_blocks(const Signature& signature, ByteSpan target,
         // landed exactly on it; the stitcher checks exit_pos.
         result.exit = RegionExit::jump;
         result.exit_pos = pos;
+        settle_rolls();
         return result;
       }
       if (pos + block_size <= target.size()) {
@@ -189,10 +279,11 @@ RegionScanResult scan_blocks(const Signature& signature, ByteSpan target,
       rolling.roll(target[pos], pos + block_size < target.size()
                                     ? target[pos + block_size]
                                     : 0);
-      charge(meter, CostKind::rolling_hash, 1);
+      ++rolls;
       ++pos;
     }
   }
+  settle_rolls();
 
   // Natural end of the target: only the last region gets here (earlier
   // regions end >= one region length before the target's end).

@@ -96,6 +96,34 @@ TEST_F(MultiClientTest, IncrementalForwardingNeedsNoRecomputation) {
   EXPECT_EQ(*server_.fetch("/sync/doc"), content);
 }
 
+TEST_F(MultiClientTest, RenameOverSaveForwardsTheSavedBytes) {
+  // gedit-style save: write a temp, rename it over f.  The rename fires the
+  // "name already exists" delta, whose base is f's replaced content; by
+  // the time the delta reaches B, the forwarded rename has put the temp
+  // under f's name, so B must resolve the base by version.
+  Rng rng(2);
+  Bytes content = rng.bytes(200'000);
+  fs_a_.write_file("/sync/f", content);
+  settle();
+  ASSERT_EQ(*local_b_.read_file("/sync/f"), content);
+
+  for (int round = 0; round < 3; ++round) {
+    content[50'000 + round * 1'000] ^= 0x3C;
+    const std::uint64_t deltas = client_a_.deltas_triggered();
+    fs_a_.write_file("/sync/f.tmp", content);
+    fs_a_.rename("/sync/f.tmp", "/sync/f");
+    ASSERT_EQ(client_a_.deltas_triggered(), deltas + 1) << "round " << round;
+    settle();
+
+    EXPECT_EQ(*server_.fetch("/sync/f"), content) << "round " << round;
+    Result<Bytes> at_b = local_b_.read_file("/sync/f");
+    ASSERT_TRUE(at_b.is_ok()) << "round " << round;
+    EXPECT_EQ(*at_b, content) << "round " << round;
+    EXPECT_FALSE(local_b_.exists("/sync/f.tmp")) << "round " << round;
+  }
+  EXPECT_EQ(client_b_.forward_base_missing(), 0u);
+}
+
 TEST_F(MultiClientTest, RenameAndDeleteForward) {
   fs_a_.write_file("/sync/old", to_bytes("x"));
   settle();

@@ -5,11 +5,15 @@
 // having spent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -20,6 +24,7 @@
 #include "par/parallel_delta.h"
 #include "par/worker_pool.h"
 #include "rsyncx/delta.h"
+#include "rsyncx/match.h"
 #include "vfs/memfs.h"
 
 namespace dcfs {
@@ -172,6 +177,256 @@ TEST_P(ParEquivalenceTest, RemoteDeltaMatchesSerialByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(BlockSizes, ParEquivalenceTest,
                          ::testing::Values(512u, 1024u, 4096u));
+
+// ---------------------------------------------------------------------------
+// The block index against the matcher it replaced: a std::unordered_multimap
+// index, the byte-at-a-time weak sums and one charge per roll.  On bases full
+// of duplicate blocks the candidate order decides which block a copy names,
+// so these cases pin it as well as the charges.
+// ---------------------------------------------------------------------------
+
+std::uint32_t reference_digest(std::uint32_t a, std::uint32_t b) {
+  return (a & 0xFFFF) | ((b & 0xFFFF) << 16);
+}
+
+std::uint32_t reference_weak(ByteSpan data) {
+  const WeakSums sums = weak_sums_scalar(data);
+  return reference_digest(sums.a, sums.b);
+}
+
+Bytes reference_delta_local(ByteSpan base, ByteSpan target,
+                            std::uint32_t bs, CostMeter& meter) {
+  namespace det = rsyncx::detail;
+  const std::size_t blocks = (base.size() + bs - 1) / bs;
+  const auto block_length = [&](std::size_t block) {
+    return std::min<std::size_t>(bs, base.size() - block * bs);
+  };
+  std::vector<std::uint32_t> weak;
+  meter.charge(CostKind::rolling_hash, base.size());
+  for (std::size_t block = 0; block < blocks; ++block) {
+    weak.push_back(reference_weak(base.subspan(block * bs,
+                                               block_length(block))));
+  }
+  const auto confirm = [&](std::size_t block, ByteSpan window) {
+    if (block * bs + window.size() > base.size()) return false;
+    if (block_length(block) != window.size()) return false;
+    meter.charge(CostKind::byte_compare, window.size());
+    return std::memcmp(base.data() + block * bs, window.data(),
+                       window.size()) == 0;
+  };
+
+  rsyncx::Delta delta;
+  delta.base_size = base.size();
+  delta.target_size = target.size();
+  if (target.empty()) return rsyncx::encode_delta(delta);
+  if (blocks == 0 || target.size() < bs) {
+    if (blocks != 0 && block_length(blocks - 1) == target.size()) {
+      meter.charge(CostKind::rolling_hash, target.size());
+      if (reference_weak(target) == weak[blocks - 1] &&
+          confirm(blocks - 1, target)) {
+        det::emit_copy(delta, (blocks - 1) * bs, target.size());
+        return rsyncx::encode_delta(delta);
+      }
+    }
+    det::emit_literal(delta, target);
+    return rsyncx::encode_delta(delta);
+  }
+
+  std::unordered_multimap<std::uint32_t, std::uint32_t> index;
+  index.reserve(blocks);
+  std::optional<std::size_t> tail;
+  for (std::uint32_t block = 0; block < blocks; ++block) {
+    if (block_length(block) == bs) {
+      index.emplace(weak[block], block);
+    } else {
+      tail = block;
+    }
+  }
+
+  std::size_t pos = 0;
+  std::size_t literal_start = 0;
+  WeakSums sums = weak_sums_scalar(target.subspan(0, bs));
+  meter.charge(CostKind::rolling_hash, bs);
+  while (pos + bs <= target.size()) {
+    std::optional<std::uint32_t> matched;
+    auto [it, end] = index.equal_range(reference_digest(sums.a, sums.b));
+    for (; it != end; ++it) {
+      if (confirm(it->second, target.subspan(pos, bs))) {
+        matched = it->second;
+        break;
+      }
+    }
+    if (matched) {
+      det::emit_literal(delta,
+                        target.subspan(literal_start, pos - literal_start));
+      det::emit_copy(delta, std::uint64_t{*matched} * bs, bs);
+      pos += bs;
+      literal_start = pos;
+      if (pos + bs <= target.size()) {
+        sums = weak_sums_scalar(target.subspan(pos, bs));
+        meter.charge(CostKind::rolling_hash, bs);
+      }
+    } else {
+      const std::uint8_t out = target[pos];
+      const std::uint8_t in =
+          pos + bs < target.size() ? target[pos + bs] : 0;
+      sums.a = sums.a - out + in;
+      sums.b = sums.b - bs * out + sums.a;
+      meter.charge(CostKind::rolling_hash, 1);
+      ++pos;
+    }
+  }
+  const std::size_t remaining = target.size() - pos;
+  if (tail && remaining == block_length(*tail) && remaining > 0) {
+    const ByteSpan rest = target.subspan(pos, remaining);
+    meter.charge(CostKind::rolling_hash, remaining);
+    if (reference_weak(rest) == weak[*tail] && confirm(*tail, rest)) {
+      det::emit_literal(delta,
+                        target.subspan(literal_start, pos - literal_start));
+      det::emit_copy(delta, *tail * bs, remaining);
+      return rsyncx::encode_delta(delta);
+    }
+  }
+  det::emit_literal(delta, target.subspan(literal_start));
+  return rsyncx::encode_delta(delta);
+}
+
+/// Base/target pairs whose bases repeat the same few blocks many times.
+std::vector<Case> make_duplicate_cases(std::uint32_t bs) {
+  Rng rng(17);
+  std::vector<Case> cases;
+  const std::size_t blocks = par::kMinParallelBlocks + 90;
+  {
+    // Zero pages with a few random blocks between them.
+    Bytes base(blocks * bs + 77, 0);
+    for (std::size_t block = 5; block < blocks; block += 37) {
+      const Bytes noise = rng.bytes(bs);
+      std::copy(noise.begin(), noise.end(),
+                base.begin() + static_cast<std::ptrdiff_t>(block * bs));
+    }
+    Bytes target = base;
+    const Bytes inserted = rng.bytes(bs / 3 + 1);
+    target.insert(target.begin() + static_cast<std::ptrdiff_t>(blocks * bs / 2),
+                  inserted.begin(), inserted.end());
+    target[3 * bs + 1] = 9;
+    cases.push_back({"zero_pages", std::move(base), std::move(target)});
+  }
+  {
+    // Four distinct blocks repeated in a pattern; the target shuffles
+    // pattern runs and shifts them off block alignment.
+    std::vector<Bytes> motifs;
+    for (int k = 0; k < 4; ++k) motifs.push_back(rng.bytes(bs));
+    Bytes base;
+    for (std::size_t block = 0; block < blocks; ++block) {
+      append(base, motifs[(block * block) % motifs.size()]);
+    }
+    Bytes target(base.begin() + 5, base.end());
+    for (std::size_t k = 0; k < 40; ++k) {
+      append(target, motifs[rng.next_below(motifs.size())]);
+    }
+    append(target, rng.bytes(bs / 2));
+    cases.push_back({"repeated_blocks", std::move(base), std::move(target)});
+  }
+  {
+    // A short tail equal to a prefix of the repeated block.
+    const Bytes motif = rng.bytes(bs);
+    Bytes base;
+    for (std::size_t block = 0; block < blocks; ++block) append(base, motif);
+    append(base, ByteSpan{motif.data(), bs / 2});
+    Bytes target = base;
+    target[bs * 7] ^= 1;
+    cases.push_back({"repeated_with_tail", std::move(base),
+                     std::move(target)});
+  }
+  return cases;
+}
+
+TEST(WeakIndexTest, MatchesMultimapReferenceOnDuplicateBlocks) {
+  for (const std::uint32_t bs : {512u, 4096u}) {
+    for (const Case& c : make_duplicate_cases(bs)) {
+      CostMeter reference_meter(CostProfile::pc());
+      const Bytes want =
+          reference_delta_local(c.base, c.target, bs, reference_meter);
+
+      CostMeter serial_meter(CostProfile::pc());
+      const Bytes serial = rsyncx::encode_delta(
+          rsyncx::compute_delta_local(c.base, c.target, bs, &serial_meter));
+      const std::string label = c.name + " bs=" + std::to_string(bs);
+      EXPECT_EQ(serial, want) << label;
+      EXPECT_EQ(serial_meter.units(), reference_meter.units()) << label;
+      expect_same_meter(serial_meter, reference_meter, label);
+
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        const auto pool = make_pool(threads);
+        CostMeter meter(CostProfile::pc());
+        const Bytes got = rsyncx::encode_delta(par::compute_delta_local(
+            pool.get(), c.base, c.target, bs, &meter));
+        const std::string thread_label =
+            label + " threads=" + std::to_string(threads);
+        EXPECT_EQ(got, want) << thread_label;
+        EXPECT_EQ(meter.units(), reference_meter.units()) << thread_label;
+      }
+    }
+  }
+}
+
+TEST(WeakIndexTest, MatchesMultimapReferenceOnEditCases) {
+  for (const std::uint32_t bs : {512u, 4096u}) {
+    for (const Case& c : make_cases(bs)) {
+      CostMeter reference_meter(CostProfile::pc());
+      const Bytes want =
+          reference_delta_local(c.base, c.target, bs, reference_meter);
+      CostMeter meter(CostProfile::pc());
+      const Bytes got = rsyncx::encode_delta(
+          rsyncx::compute_delta_local(c.base, c.target, bs, &meter));
+      const std::string label = c.name + " bs=" + std::to_string(bs);
+      EXPECT_EQ(got, want) << label;
+      expect_same_meter(meter, reference_meter, label);
+    }
+  }
+}
+
+TEST(WeakIndexTest, CandidatesEqualBruteForce) {
+  // Synthetic weak values: random ones, runs of duplicates, and distinct
+  // values crowded into one directory bucket (equal top bits).  Candidates
+  // must come newest first (descending block order).
+  for (const std::size_t blocks : {0u, 1u, 5u, 300u, 5000u}) {
+    Rng rng(blocks + 1);
+    rsyncx::Signature signature;
+    signature.block_size = 64;
+    signature.file_size = blocks * 64;
+    signature.has_strong = false;
+    for (std::size_t block = 0; block < blocks; ++block) {
+      std::uint32_t weak = static_cast<std::uint32_t>(rng.next_u64());
+      if (block % 7 == 0) weak = 0xDEADBEEF;
+      if (block % 5 == 0) weak = 0xABCD0000u | (weak & 0xFF);
+      signature.weak.push_back(weak);
+    }
+    const auto index = rsyncx::detail::WeakIndex::build(signature);
+
+    std::vector<std::uint32_t> queries(signature.weak);
+    for (int k = 0; k < 2000; ++k) {
+      queries.push_back(static_cast<std::uint32_t>(rng.next_u64()));
+      queries.push_back(0xABCD0000u | static_cast<std::uint32_t>(k & 0x1FF));
+    }
+    for (const std::uint32_t weak : queries) {
+      std::vector<std::uint32_t> want;
+      for (std::size_t block = blocks; block-- > 0;) {
+        if (signature.weak[block] == weak) {
+          want.push_back(static_cast<std::uint32_t>(block));
+        }
+      }
+      std::vector<std::uint32_t> got;
+      for (const auto& entry : index.candidates(weak)) {
+        got.push_back(entry.block);
+      }
+      ASSERT_EQ(got, want) << "blocks " << blocks << " weak " << weak;
+      if (!want.empty()) {
+        ASSERT_TRUE(index.may_contain(weak));
+      }
+    }
+  }
+}
 
 TEST(AdvanceSignatureTest, MatchesRecomputedSignatureOfTarget) {
   const std::uint32_t bs = 512;

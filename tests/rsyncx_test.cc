@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "common/checksum.h"
 #include "common/rng.h"
@@ -209,6 +210,70 @@ TEST(DeltaTest, WeakCollisionIsResolvedByVerification) {
   const Delta delta = compute_delta_local(a, b, 4, nullptr);
   EXPECT_EQ(apply_delta(a, delta).value(), b);
   EXPECT_EQ(delta.literal_bytes(), b.size());
+}
+
+// ---------------------------------------------------------------------------
+// Weak checksum: the 16-bytes-per-step sums equal the scalar reference in
+// all 32 bits of a and b, since roll() continues from them.
+// ---------------------------------------------------------------------------
+
+void expect_same_sums(ByteSpan data, const std::string& label) {
+  const WeakSums want = weak_sums_scalar(data);
+  const WeakSums got = weak_sums(data);
+  EXPECT_EQ(got.a, want.a) << label;
+  EXPECT_EQ(got.b, want.b) << label;
+  const WeakSums reset = RollingChecksum(data).sums();
+  EXPECT_EQ(reset.a, want.a) << label;
+  EXPECT_EQ(reset.b, want.b) << label;
+}
+
+TEST(WeakChecksumTest, FastSumsEqualScalarAtEveryLengthAndAlignment) {
+  constexpr std::size_t kBlock = 64;
+  constexpr std::size_t kMaxLength = 3 * kBlock + 13;
+  Rng rng(41);
+  const Bytes random = rng.bytes(kMaxLength + 16);
+  const Bytes zeros(kMaxLength + 16, 0x00);
+  const Bytes ones(kMaxLength + 16, 0xFF);
+  for (const Bytes* input : {&random, &zeros, &ones}) {
+    for (std::size_t misalign = 0; misalign < 16; ++misalign) {
+      for (std::size_t length = 0; length <= kMaxLength; ++length) {
+        expect_same_sums(ByteSpan{input->data() + misalign, length},
+                         "byte " + std::to_string((*input)[0]) + " offset " +
+                             std::to_string(misalign) + " length " +
+                             std::to_string(length));
+      }
+    }
+  }
+}
+
+TEST(WeakChecksumTest, FastSumsEqualScalarOnLargeBlocks) {
+  // Large all-0xFF windows wrap b past 2^32.
+  Rng rng(42);
+  for (const std::size_t length : {4096u, 65536u + 7u, 1u << 20}) {
+    expect_same_sums(rng.bytes(length), "random " + std::to_string(length));
+    expect_same_sums(Bytes(length, 0xFF), "0xFF " + std::to_string(length));
+  }
+}
+
+TEST(WeakChecksumTest, RollingFromAFastResetMatchesScalarRecompute) {
+  constexpr std::size_t kWindow = 4096 + 5;
+  Rng rng(43);
+  Bytes data = rng.bytes(kWindow + 3000);
+  std::fill(data.begin() + 5000, data.begin() + 6000, 0xFF);
+  RollingChecksum rolling(ByteSpan{data.data(), kWindow});
+  for (std::size_t pos = 0; pos + kWindow < data.size(); ++pos) {
+    rolling.roll(data[pos], data[pos + kWindow]);
+    const WeakSums want = weak_sums_scalar(ByteSpan{data.data() + pos + 1,
+                                                    kWindow});
+    ASSERT_EQ(rolling.sums().a, want.a) << "pos " << pos;
+    ASSERT_EQ(rolling.sums().b, want.b) << "pos " << pos;
+    if (pos % 997 == 0) {
+      // A reset mid-stream (as after a matched block) must agree too.
+      rolling.reset(ByteSpan{data.data() + pos + 1, kWindow});
+      ASSERT_EQ(rolling.sums().a, want.a) << "reset at " << pos;
+      ASSERT_EQ(rolling.sums().b, want.b) << "reset at " << pos;
+    }
+  }
 }
 
 class DeltaBlockSizeTest : public ::testing::TestWithParam<std::uint32_t> {};

@@ -25,6 +25,11 @@ Checks (all on src/ unless noted):
                   first — direct calls with unnormalized (e.g. recursively
                   derived) params can violate the boundary-cut invariants the
                   reconciliation planner's termination depends on.
+  weak-index      std::unordered_multimap in src/rsyncx or src/par.  Block
+                  lookups go through rsyncx::detail::WeakIndex (prefilter +
+                  sorted flat array), which keeps the candidate order the
+                  delta's byte-exactness depends on; a second lookup
+                  structure would have to reproduce that order by accident.
   blocking-net    Direct Transport calls (client_send/server_send/client_poll/
                   server_poll) outside src/net, src/rt, and the two sanctioned
                   serial endpoints (src/core/client.cc, src/server/
@@ -48,6 +53,9 @@ Output formats (--format):
   json    [{"path": ..., "line": ..., "check": ..., "message": ...}, ...]
   github  ::error file=...,line=...,title=dcfs-lint/<check>::message
           (GitHub Actions workflow commands — findings become PR annotations)
+
+--self-test lints built-in snippets and checks that each rule fires where
+it must and stays quiet where it must (exit 0 when every case holds).
 
 Suppress a finding by putting `dcfs-lint: allow(<check>)` in a comment on
 the offending line (or the line directly above it).
@@ -103,6 +111,7 @@ NAKED_NEW_RE = re.compile(r"\bnew\b\s*(?:\(|[A-Za-z_:<])")
 METRIC_CALL_RE = re.compile(r"\.(counter|gauge|histogram)\(\s*\"([^\"]*)\"")
 NAKED_TRACE_RE = re.compile(r"\btracer_?(?:\.|->)\s*(begin|end)\s*\(")
 CHUNK_CDC_RE = re.compile(r"\b(chunk_cdc|chunk_boundaries)\s*\(")
+WEAK_INDEX_RE = re.compile(r"\bstd::unordered_multimap\b")
 BLOCKING_NET_RE = re.compile(
     r"\b(client_send|server_send|client_poll|server_poll)\s*\("
 )
@@ -185,18 +194,25 @@ def finding(path: str, line: int, check: str, message: str) -> dict:
 
 def lint_file(path: str) -> list[dict]:
     rel = os.path.relpath(path, REPO)
-    in_chk = rel.startswith(os.path.join("src", "chk") + os.sep)
-    in_obs = rel.startswith(os.path.join("src", "obs") + os.sep)
-    in_rsyncx = rel.startswith(os.path.join("src", "rsyncx") + os.sep)
-    in_net = rel.startswith(os.path.join("src", "net") + os.sep)
-    in_rt = rel.startswith(os.path.join("src", "rt") + os.sep)
-    net_endpoint = rel in BLOCKING_NET_ENDPOINTS
-    annotation_home = rel == ANNOTATION_HOME
     try:
         with open(path, encoding="utf-8") as f:
             raw_lines = f.read().splitlines()
     except OSError as e:
         return [finding(rel, 1, "io", f"unreadable: {e}")]
+    return lint_lines(rel, raw_lines)
+
+
+def lint_lines(rel: str, raw_lines: list[str]) -> list[dict]:
+    """Runs every per-line check on one file's lines; `rel` is the path
+    relative to the repository root and decides which rules apply."""
+    in_chk = rel.startswith(os.path.join("src", "chk") + os.sep)
+    in_obs = rel.startswith(os.path.join("src", "obs") + os.sep)
+    in_rsyncx = rel.startswith(os.path.join("src", "rsyncx") + os.sep)
+    in_par = rel.startswith(os.path.join("src", "par") + os.sep)
+    in_net = rel.startswith(os.path.join("src", "net") + os.sep)
+    in_rt = rel.startswith(os.path.join("src", "rt") + os.sep)
+    net_endpoint = rel in BLOCKING_NET_ENDPOINTS
+    annotation_home = rel == ANNOTATION_HOME
 
     findings = []
     in_block = False
@@ -234,6 +250,14 @@ def lint_file(path: str) -> list[dict]:
                     rel, idx + 1, "chunk-cdc",
                     "call rsyncx::chunk_file (normalizes params) — "
                     "chunk_cdc/chunk_boundaries live in src/rsyncx only"
+                ))
+
+        if (in_rsyncx or in_par) and WEAK_INDEX_RE.search(code):
+            if not allowed("weak-index", raw_lines, idx):
+                findings.append(finding(
+                    rel, idx + 1, "weak-index",
+                    "look blocks up through rsyncx::detail::WeakIndex — "
+                    "its candidate order is part of the delta's output"
                 ))
 
         if not (in_net or in_rt or net_endpoint) and \
@@ -309,6 +333,46 @@ def check_header(header: str, cxx: str) -> list[dict]:
         os.unlink(tu_path)
 
 
+# (path relative to the repo, source text, checks expected to fire)
+SELF_TEST_CASES = [
+    (os.path.join("src", "rsyncx", "index.h"),
+     "std::unordered_multimap<std::uint32_t, std::uint32_t> map;",
+     ["weak-index"]),
+    (os.path.join("src", "par", "scan.cc"),
+     "  std::unordered_multimap<int, int> blocks;",
+     ["weak-index"]),
+    (os.path.join("src", "rsyncx", "index.h"),
+     "// a std::unordered_multimap used to live here",
+     []),
+    (os.path.join("src", "rsyncx", "index.h"),
+     "std::unordered_multimap<int, int> m;  // dcfs-lint: allow(weak-index)",
+     []),
+    (os.path.join("src", "core", "client.cc"),
+     "std::unordered_multimap<int, int> by_inode;",
+     []),
+    (os.path.join("src", "core", "client.cc"),
+     "  auto chunks = chunk_cdc(data, params, nullptr);",
+     ["chunk-cdc"]),
+    (os.path.join("src", "rsyncx", "recon.cc"),
+     "  auto chunks = chunk_cdc(data, params, nullptr);",
+     []),
+]
+
+
+def self_test() -> int:
+    failures = 0
+    for rel, source, want in SELF_TEST_CASES:
+        got = [f["check"] for f in lint_lines(rel, source.splitlines())]
+        if got != want:
+            failures += 1
+            print(f"self-test: {rel}: {source.strip()!r} gave {got}, "
+                  f"want {want}", file=sys.stderr)
+    if failures:
+        return 1
+    print(f"dcfs_lint: self-test OK ({len(SELF_TEST_CASES)} cases)")
+    return 0
+
+
 def render(findings: list[dict], fmt: str, n_files: int) -> None:
     if fmt == "json":
         print(json.dumps(findings, indent=2))
@@ -360,7 +424,14 @@ def main() -> int:
         default=os.cpu_count() or 1,
         help="parallel header-check compiles",
     )
+    parser.add_argument(
+        "--self-test",
+        action="store_true",
+        help="check the rules against built-in snippets and exit",
+    )
     args = parser.parse_args()
+    if args.self_test:
+        return self_test()
 
     roots = args.paths or [SRC]
     files: list[str] = []
