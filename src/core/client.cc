@@ -513,10 +513,7 @@ bool DeltaCfsClient::intercept_unlink(std::string_view raw_path) {
   // its sibling names) — no preservation needed.
   if (!links_.siblings(path).empty()) return false;
 
-  if (!tmp_dir_ready_) {
-    local_.mkdir(config_.tmp_dir);  // idempotent enough: EEXIST is fine
-    tmp_dir_ready_ = true;
-  }
+  ensure_tmp_dir();
   queue_.pack(path);
 
   const std::string preserved =
@@ -533,6 +530,24 @@ bool DeltaCfsClient::intercept_unlink(std::string_view raw_path) {
       known_version(path).value_or(proto::VersionId{});
   if (checksums_) checksums_->on_rename(path, preserved);
   undo_.rename(path, preserved);
+  return true;
+}
+
+void DeltaCfsClient::ensure_tmp_dir() {
+  if (tmp_dir_ready_) return;
+  local_.mkdir(config_.tmp_dir);  // idempotent enough: EEXIST is fine
+  tmp_dir_ready_ = true;
+}
+
+bool DeltaCfsClient::stash_forwarded(const std::string& path) {
+  const auto version = known_versions_.find(path);
+  if (version == known_versions_.end()) return false;
+  ensure_tmp_dir();
+  std::string preserved =
+      config_.tmp_dir + "/f" + std::to_string(++preserve_counter_);
+  if (!local_.rename(path, preserved).is_ok()) return false;
+  forward_stash_[path] =
+      ForwardStash{std::move(preserved), version->second, clock_.now()};
   return true;
 }
 
@@ -832,6 +847,14 @@ void DeltaCfsClient::tick(TimePoint now) {
     local_.unlink(entry.dst);
     if (checksums_) checksums_->on_unlink(entry.dst);
     preserved_versions_.erase(entry.dst);
+  });
+  std::erase_if(forward_stash_, [&](const auto& entry) {
+    const ForwardStash& stash = entry.second;
+    if (now - stash.since < config_.relation_timeout + config_.upload_delay) {
+      return false;
+    }
+    local_.unlink(stash.preserved);
+    return true;
   });
 
   upload_ready(now, /*flush_all=*/false);
@@ -1400,10 +1423,7 @@ bool DeltaCfsClient::stream_eligible(proto::OpKind kind,
 
 bool DeltaCfsClient::spill_snapshot(SyncNode& node, const std::string& path,
                                     std::uint64_t size) {
-  if (!tmp_dir_ready_) {
-    local_.mkdir(config_.tmp_dir);  // idempotent enough: EEXIST is fine
-    tmp_dir_ready_ = true;
-  }
+  ensure_tmp_dir();
   Result<FileHandle> src = local_.open(path);
   if (!src) return false;
   const std::string spill =
@@ -1687,15 +1707,22 @@ void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
     record.compressed = false;
   }
   // A file_delta reads its base from `base_path`.  Content a forwarded
-  // rename replaced serves only the next record on the same path.
+  // unlink or rename removed serves only the next record on its name; the
+  // create that re-binds an unlinked name passes it by.
   const std::string& base_path =
       record.path2.empty() ? record.path : record.path2;
-  std::optional<Stash> stashed;
-  for (const std::string* touched : {&record.path, &record.path2}) {
-    const auto it = forward_stash_.find(*touched);
-    if (it == forward_stash_.end()) continue;
-    if (*touched == base_path) stashed = std::move(it->second);
-    forward_stash_.erase(it);
+  std::optional<ForwardStash> stashed;
+  if (record.kind != proto::OpKind::create) {
+    for (const std::string* touched : {&record.path, &record.path2}) {
+      const auto it = forward_stash_.find(*touched);
+      if (it == forward_stash_.end()) continue;
+      if (*touched == base_path) {
+        stashed = std::move(it->second);
+      } else {
+        local_.unlink(it->second.preserved);
+      }
+      forward_stash_.erase(it);
+    }
   }
   switch (record.kind) {
     case proto::OpKind::create: {
@@ -1712,20 +1739,16 @@ void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
       local_.rmdir(record.path);
       break;
     case proto::OpKind::unlink:
-      local_.unlink(record.path);
+      // A delete-then-recreate on the sender ships the new content as a
+      // delta against the deleted one (base_deleted): keep it.
+      if (!stash_forwarded(record.path)) local_.unlink(record.path);
       known_versions_.erase(record.path);
       break;
     case proto::OpKind::rename: {
       // A file_delta uploaded with this rename may name the content it
       // replaces as its base (the gedit-style "name already exists"
-      // trigger): keep that content until the next record for the path.
-      const auto replaced = known_versions_.find(record.path2);
-      if (replaced != known_versions_.end()) {
-        if (Result<Bytes> old = local_.read_file(record.path2)) {
-          forward_stash_[record.path2] =
-              Stash{std::move(*old), replaced->second};
-        }
-      }
+      // trigger): keep that content.
+      stash_forwarded(record.path2);
       local_.rename(record.path, record.path2);
       known_versions_.erase(record.path);
       known_versions_[record.path2] = record.new_version;
@@ -1762,11 +1785,11 @@ void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
       Result<rsyncx::Delta> delta = rsyncx::decode_delta(record.payload);
       if (!delta) break;
       // The base is the version the record names: the file at base_path,
-      // unless a forwarded rename has just replaced it.
-      Result<Bytes> base =
+      // unless a forwarded unlink or rename has just removed it.
+      Result<Bytes> base = local_.read_file(
           stashed && stashed->version == record.base_version
-              ? Result<Bytes>(std::move(stashed->content))
-              : local_.read_file(base_path);
+              ? stashed->preserved
+              : base_path);
       Result<Bytes> rebuilt =
           base ? rsyncx::apply_delta(*base, *delta) : base.status();
       if (!rebuilt) {
@@ -1802,6 +1825,7 @@ void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
       // synthesized full_file record instead.
       break;
   }
+  if (stashed) local_.unlink(stashed->preserved);
 }
 
 // ---------------------------------------------------------------------------

@@ -368,6 +368,14 @@ class DeltaCfsClient final : public OpSink {
   /// Drops a pending-delta obligation, releasing its preserved file.
   void discard_pending(const std::string& path);
 
+  /// Creates tmp_dir on first use.
+  void ensure_tmp_dir();
+  /// Peer side of a forwarded unlink or rename-over: moves `path` aside
+  /// under tmp_dir (a rename, not a copy) with its known version, so a
+  /// file_delta forwarded next can name it as its base.  False (nothing
+  /// moved) when the version is unknown.
+  bool stash_forwarded(const std::string& path);
+
   /// In-place delta policy at pack time (§III-A "further extend").
   void maybe_inplace_delta(const std::string& path);
 
@@ -586,11 +594,21 @@ class DeltaCfsClient final : public OpSink {
 
   /// rename-over-existing stash: destination -> old content+version.
   std::map<std::string, Stash> stash_;
-  /// Peer side of the same pattern: content a forwarded rename replaced,
-  /// by destination.  A file_delta forwarded after the rename names that
-  /// content as its base (by version); the entry lives until the next
-  /// forwarded record for its path.
-  std::map<std::string, Stash> forward_stash_;
+  /// Content a forwarded unlink or rename-over removed, preserved under
+  /// tmp_dir.
+  struct ForwardStash {
+    std::string preserved;
+    proto::VersionId version;
+    TimePoint since;
+  };
+  /// Peer side of the same pattern, by the name whose content was removed.
+  /// A file_delta forwarded later names that content as its base (by
+  /// version): the rename-over delta, or the delete-then-recreate delta
+  /// (base_deleted).  The entry lives until the next forwarded record for
+  /// its name other than the create that re-binds it, or until it is
+  /// relation_timeout + upload_delay old — by then the sender's relation
+  /// entry has expired and its delta has left the sender's queue.
+  std::map<std::string, ForwardStash> forward_stash_;
   LinkGroups links_;
   /// version the cloud holds for files we preserved on unlink.
   std::map<std::string, proto::VersionId> preserved_versions_;

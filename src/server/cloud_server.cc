@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "compress/lz.h"
@@ -34,6 +35,7 @@ CloudServer::CloudServer(const CostProfile& profile, ServerConfig config,
     recon_counter_ = &obs->registry.counter("server.recon.queries");
     txn_buffered_ = &obs->registry.counter("server.txn.buffered_records");
     txn_groups_counter_ = &obs->registry.counter("server.txn.groups_applied");
+    registry_ = &obs->registry;
     apply_latency_us_ = &obs->registry.histogram("server.apply_latency_us");
     store_unique_gauge_ = &obs->registry.gauge("server.store.unique_bytes");
     store_logical_gauge_ = &obs->registry.gauge("server.store.logical_bytes");
@@ -257,10 +259,9 @@ std::size_t CloudServer::pump_parallel() {
   // is answered serially against the merged state.
   auto run_batch = [&]() {
   if (items.empty()) return;
-  // ---- Phase B: partition into independent units by touched-path sets.
-  // The closure of paths one record can read or write is {path, path2,
-  // conflict_name(path, from_client)}; a transactional group is the union
-  // over its records (it applies atomically, so it is one unit).
+  // ---- Phase B: partition into independent units by touched-path sets
+  // (touched_paths); a transactional group is the union over its records
+  // (it applies atomically, so it is one unit).
   std::vector<int> dsu;
   auto find = [&](int x) {
     while (dsu[static_cast<std::size_t>(x)] != x) {
@@ -287,24 +288,18 @@ std::size_t CloudServer::pump_parallel() {
     const PumpItem& item = items[i];
     if (item.kind == PumpItem::Kind::emit) continue;
     int root = -1;
-    auto touch_record = [&](const proto::SyncRecord& record) {
-      for (const std::string& path :
-           {record.path, record.path2,
-            conflict_name(record.path, item.client)}) {
-        if (path.empty()) continue;
+    const std::span<const proto::SyncRecord> records =
+        item.kind == PumpItem::Kind::single
+            ? std::span<const proto::SyncRecord>(&item.record, 1)
+            : std::span<const proto::SyncRecord>(item.group_records);
+    for (const proto::SyncRecord& record : records) {
+      for (const std::string& path : touched_paths(record, item.client)) {
         const int id = touch(path);
         if (root == -1) {
           root = id;
         } else {
           unite(root, id);
         }
-      }
-    };
-    if (item.kind == PumpItem::Kind::single) {
-      touch_record(item.record);
-    } else {
-      for (const proto::SyncRecord& record : item.group_records) {
-        touch_record(record);
       }
     }
     item_root[i] = root;
@@ -597,19 +592,31 @@ void CloudServer::commit_ctx(ApplyCtx& ctx) {
 std::vector<proto::Ack> CloudServer::apply_group(
     std::uint32_t from_client, PendingGroup group, ApplyCtx& ctx,
     std::vector<proto::SyncRecord>& forwards) {
-  // Transactional apply (§III-E): stage every record against a scratch
-  // copy of the touched entries; commit only if all succeed.  On any
-  // conflict the whole group becomes conflicted.
+  // Transactional apply (§III-E): stage every record against the entries
+  // the group touches; commit only if all succeed.  On any conflict the
+  // whole group becomes conflicted.  The touched entries move out of
+  // ctx.files into `staged`; their one copy is the pre-group `snapshot`
+  // that resolve_base reads and a conflict puts back.  Nothing else in the
+  // namespace is copied, so a group costs what it touches.
+  EntryMap staged;
   EntryMap snapshot;
   for (const proto::SyncRecord& record : group.records) {
-    for (const std::string* path : {&record.path, &record.path2}) {
-      if (path->empty() || snapshot.contains(*path)) continue;
-      const auto it = ctx.files.find(*path);
-      if (it != ctx.files.end()) snapshot.emplace(*path, it->second);
+    for (const std::string& path : touched_paths(record, from_client)) {
+      auto node = ctx.files.extract(path);  // empty once already staged
+      if (!node) continue;
+      snapshot.emplace(path, node.mapped());
+      staged.insert(std::move(node));
     }
   }
+  if (registry_ != nullptr) {
+    // Registered by the first group, not at construction: one more registry
+    // allocation there flips glibc's heap trimming in wallbench db_commit's
+    // set-up (2x the page faults, setup_s 24 -> 45 ms on a 4-core x86 VM),
+    // and db_commit applies no groups.  The registry is locked, so pool
+    // workers may register and count concurrently.
+    registry_->counter("server.txn.staged_entries").inc(staged.size());
+  }
 
-  EntryMap staged = ctx.files;
   std::vector<proto::Ack> acks;
   bool conflicted = false;
   VersionSet group_versions;
@@ -623,7 +630,9 @@ std::vector<proto::Ack> CloudServer::apply_group(
   }
 
   if (!conflicted) {
-    ctx.files = std::move(staged);
+    // Every name apply_one wrote is a touched path, and all of those left
+    // ctx.files above, so the merge moves every staged entry back.
+    ctx.files.merge(staged);
     for (const proto::SyncRecord& record : group.records) {
       if (ctx.files.contains(record.path)) {
         ctx.arrivals.push_back(record.path);
@@ -635,17 +644,19 @@ std::vector<proto::Ack> CloudServer::apply_group(
 
   // Conflict: the whole group is labeled conflicted (§III-E) and the main
   // files stay untouched.  apply_one already materialized conflict copies
-  // into the staged map while processing the group; harvest just those.
+  // into the staged map while processing the group; harvest just those,
+  // then put the pre-group entries back.
   ++ctx.conflicts;
   for (proto::Ack& ack : acks) ack.result = Errc::conflict;
   const std::string marker = ".conflict-" + std::to_string(from_client);
   for (auto& [path, entry] : staged) {
     if (path.find(marker) == std::string::npos) continue;
-    if (ctx.files.contains(path)) continue;  // pre-existing conflict copy
+    if (snapshot.contains(path)) continue;  // pre-existing conflict copy
     ctx.meter.charge(CostKind::byte_copy, entry.content.size());
     ctx.meter.charge(CostKind::disk_write, entry.content.size());
     ctx.files[path] = std::move(entry);
   }
+  ctx.files.merge(snapshot);
   return acks;
 }
 
@@ -1373,6 +1384,17 @@ void CloudServer::forward(std::uint32_t from_client,
 std::string CloudServer::conflict_name(std::string_view path,
                                        std::uint32_t client) const {
   return std::string(path) + ".conflict-" + std::to_string(client);
+}
+
+std::vector<std::string> CloudServer::touched_paths(
+    const proto::SyncRecord& record, std::uint32_t client) const {
+  std::vector<std::string> paths{record.path,
+                                 conflict_name(record.path, client)};
+  if (!record.path2.empty() || record.kind == proto::OpKind::rename ||
+      record.kind == proto::OpKind::link) {
+    paths.push_back(record.path2);
+  }
+  return paths;
 }
 
 std::size_t CloudServer::gc_tombstones() {

@@ -124,6 +124,34 @@ TEST_F(MultiClientTest, RenameOverSaveForwardsTheSavedBytes) {
   EXPECT_EQ(client_b_.forward_base_missing(), 0u);
 }
 
+TEST_F(MultiClientTest, DeleteThenRecreateForwardsTheRecreatedBytes) {
+  // Delete-then-recreate: A unlinks f and writes it back with one byte
+  // changed.  The relation table turns the rewrite into a delta against the
+  // deleted content (base_deleted); by the time it reaches B, the forwarded
+  // unlink has removed that content and the forwarded create has bound the
+  // name to an empty file, so B must resolve the base by version.
+  Rng rng(3);
+  Bytes content = rng.bytes(200'000);
+  fs_a_.write_file("/sync/f", content);
+  settle();
+  ASSERT_EQ(*local_b_.read_file("/sync/f"), content);
+
+  for (int round = 0; round < 2; ++round) {
+    content[70'000 + round * 1'000] ^= 0x5A;
+    const std::uint64_t deltas = client_a_.deltas_triggered();
+    fs_a_.unlink("/sync/f");
+    fs_a_.write_file("/sync/f", content);
+    ASSERT_EQ(client_a_.deltas_triggered(), deltas + 1) << "round " << round;
+    settle();
+
+    EXPECT_EQ(*server_.fetch("/sync/f"), content) << "round " << round;
+    Result<Bytes> at_b = local_b_.read_file("/sync/f");
+    ASSERT_TRUE(at_b.is_ok()) << "round " << round;
+    EXPECT_EQ(*at_b, content) << "round " << round;
+  }
+  EXPECT_EQ(client_b_.forward_base_missing(), 0u);
+}
+
 TEST_F(MultiClientTest, RenameAndDeleteForward) {
   fs_a_.write_file("/sync/old", to_bytes("x"));
   settle();
@@ -135,6 +163,12 @@ TEST_F(MultiClientTest, RenameAndDeleteForward) {
   fs_a_.unlink("/sync/new");
   settle();
   EXPECT_FALSE(local_b_.exists("/sync/new"));
+  // Nothing recreated /sync/new, so the peer's copy of the unlinked
+  // content has expired.
+  if (Result<std::vector<std::string>> stashed =
+          local_b_.list_dir("/.dcfs_tmp")) {
+    EXPECT_TRUE(stashed->empty());
+  }
 }
 
 TEST_F(MultiClientTest, ConcurrentEditsYieldFirstWriteWinsConflict) {

@@ -1,11 +1,16 @@
 // Additional CloudServer coverage: history depth, tombstone revival,
-// malformed compressed payloads, detach, group-version bookkeeping, and
-// block-store refcounting under trimming, revival and tombstone GC.
+// malformed compressed payloads, detach, group-version bookkeeping,
+// block-store refcounting under trimming, revival and tombstone GC, and
+// transactional groups staged against only the entries they touch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <set>
+#include <sstream>
 
 #include "common/rng.h"
+#include "obs/obs.h"
 #include "rsyncx/delta.h"
 #include "server/cloud_server.h"
 
@@ -336,6 +341,218 @@ TEST(ServerMeterTest, ServerWorkScalesWithBytesApplied) {
   small_server.apply_record(1, full_file("/f", rng.bytes(10'000), {1, 1}));
   big_server.apply_record(1, full_file("/f", rng.bytes(1'000'000), {1, 1}));
   EXPECT_GT(big_server.meter().units(), 10 * small_server.meter().units());
+}
+
+// ---- Group staging is independent of namespace size ----
+
+SyncRecord in_group(SyncRecord record, std::uint64_t group, bool last) {
+  record.txn_group = group;
+  record.txn_last = last;
+  return record;
+}
+
+SyncRecord write_at(const std::string& path, std::uint64_t offset,
+                    ByteSpan data, VersionId base, VersionId version) {
+  proto::Segment segment;
+  segment.offset = offset;
+  segment.data.assign(data.begin(), data.end());
+  SyncRecord record;
+  record.kind = OpKind::write;
+  record.path = path;
+  record.payload = proto::encode_segments({segment});
+  record.base_version = base;
+  record.new_version = version;
+  return record;
+}
+
+SyncRecord name_op(OpKind kind, const std::string& path,
+                   const std::string& path2, VersionId version) {
+  SyncRecord record;
+  record.kind = kind;
+  record.path = path;
+  record.path2 = path2;
+  record.new_version = version;
+  return record;
+}
+
+/// Every version the server keeps for `path` (current first) with a hash
+/// of its content; "" when the path does not exist.
+std::string describe(const CloudServer& server, const std::string& path) {
+  std::ostringstream out;
+  for (const VersionId& version : server.history(path)) {
+    const Result<Bytes> content = server.fetch_version(path, version);
+    out << proto::to_string(version) << '=';
+    if (content.is_ok()) {
+      out << content->size() << '/'
+          << std::hash<std::string_view>{}(std::string_view(
+                 reinterpret_cast<const char*>(content->data()),
+                 content->size()));
+    } else {
+      out << "missing";
+    }
+    out << ' ';
+  }
+  return out.str();
+}
+
+/// A server plus its observability registry, so staged_entries is readable.
+struct CountedServer {
+  obs::Obs obs;
+  CloudServer server{CostProfile::pc(), /*history_depth=*/16, &obs};
+  [[nodiscard]] std::uint64_t staged() {
+    return obs.registry.counter("server.txn.staged_entries").value();
+  }
+};
+
+TEST(ServerGroupStagingTest, GroupsCostWhatTheyTouchNotTheNamespace) {
+  constexpr std::size_t kUnrelated = 500;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    CountedServer big;
+    CountedServer small;
+
+    // The unrelated namespace: only the big server holds it.
+    std::vector<std::string> unrelated;
+    for (std::size_t i = 0; i < kUnrelated; ++i) {
+      const std::string path = "/bulk/f" + std::to_string(i);
+      Bytes content = rng.bytes(rng.next_in(200, 2'000));
+      for (std::uint64_t v = 1; v <= 3; ++v) {
+        content[rng.next_below(content.size())] ^= 0x5A;
+        big.server.apply_record(2, full_file(path, content, {2, i * 3 + v}));
+      }
+      unrelated.push_back(path);
+    }
+
+    // The group paths' starting state, identical on both servers.
+    std::map<std::string, Bytes> content;
+    std::uint64_t counter = 0;
+    auto put = [&](const std::string& path, Bytes bytes) {
+      const SyncRecord record = full_file(path, bytes, {1, ++counter});
+      content[path] = std::move(bytes);
+      ASSERT_EQ(big.server.apply_record(1, record).result, Errc::ok);
+      ASSERT_EQ(small.server.apply_record(1, record).result, Errc::ok);
+    };
+    for (const char* path : {"/t/a", "/t/b", "/t/c", "/t/d", "/t/e"}) {
+      put(path, rng.bytes(rng.next_in(8'000, 20'000)));
+      Bytes next = content[path];
+      next[rng.next_below(next.size())] ^= 0x3C;
+      put(path, std::move(next));
+    }
+    put("/t/e.conflict-1", rng.bytes(500));  // an earlier conflict copy
+
+    std::map<std::string, std::string> unrelated_before;
+    for (const std::string& path : unrelated) {
+      unrelated_before[path] = describe(big.server, path);
+    }
+    const std::uint64_t unique_gap =
+        big.server.store().unique_bytes() - small.server.store().unique_bytes();
+    const std::uint64_t logical_gap = big.server.store().logical_bytes() -
+                                      small.server.store().logical_bytes();
+    big.server.meter().reset();  // compare the groups' charges exactly
+    small.server.meter().reset();
+
+    const auto version_of = [&](const std::string& path) {
+      return *small.server.version(path);
+    };
+    const Bytes patch = rng.bytes(rng.next_in(16, 512));
+    Bytes recreated = content["/t/d"];
+    recreated[rng.next_below(recreated.size())] ^= 0x77;
+    SyncRecord revive_delta;
+    revive_delta.kind = OpKind::file_delta;
+    revive_delta.path = "/t/d";
+    revive_delta.base_deleted = true;
+    revive_delta.base_version = version_of("/t/d");
+    revive_delta.payload = rsyncx::encode_delta(rsyncx::compute_delta_local(
+        content["/t/d"], recreated, 4096, nullptr));
+    revive_delta.new_version = {1, 109};
+
+    struct Case {
+      const char* name;
+      std::vector<SyncRecord> records;
+      Errc verdict;
+    };
+    const std::vector<Case> cases = {
+        {"clean commit",
+         {write_at("/t/a", rng.next_below(4'000), patch, version_of("/t/a"),
+                   {1, 100}),
+          full_file("/t/new", rng.bytes(3'000), {1, 101})},
+         Errc::ok},
+        {"conflicted group",  // /t/b's base is its superseded version
+         {full_file("/t/c", rng.bytes(5'000), {1, 102}),
+          write_at("/t/b", 0, patch, small.server.history("/t/b")[1],
+                   {1, 103})},
+         Errc::conflict},
+        {"conflict copy exists",
+         {write_at("/t/e", 10, patch, small.server.history("/t/e")[1],
+                   {1, 104})},
+         Errc::conflict},
+        {"rename over",
+         {full_file("/t/tmp", rng.bytes(6'000), {1, 105}),
+          name_op(OpKind::rename, "/t/tmp", "/t/a", {1, 106})},
+         Errc::ok},
+        {"unlink and recreate",
+         {name_op(OpKind::unlink, "/t/d", "", {1, 107}),
+          name_op(OpKind::create, "/t/d", "", {1, 108}), revive_delta},
+         Errc::ok},
+    };
+
+    std::set<std::string> touched;
+    std::uint64_t group = 0;
+    for (const Case& c : cases) {
+      SCOPED_TRACE(c.name);
+      ++group;
+      std::set<std::string> names;
+      for (const SyncRecord& record : c.records) {
+        for (const std::string& path :
+             {record.path, record.path2, record.path + ".conflict-1"}) {
+          if (!path.empty()) names.insert(path);
+        }
+      }
+      const auto present = static_cast<std::uint64_t>(
+          std::count_if(names.begin(), names.end(), [&](const auto& path) {
+            return small.server.version(path).has_value();
+          }));
+      touched.insert(names.begin(), names.end());
+
+      const std::uint64_t big_staged = big.staged();
+      const std::uint64_t small_staged = small.staged();
+      for (std::size_t i = 0; i < c.records.size(); ++i) {
+        const SyncRecord record =
+            in_group(c.records[i], group, i + 1 == c.records.size());
+        const proto::Ack big_ack = big.server.apply_record(1, record);
+        const proto::Ack small_ack = small.server.apply_record(1, record);
+        EXPECT_EQ(big_ack.result, small_ack.result);
+        EXPECT_EQ(big_ack.conflict_path, small_ack.conflict_path);
+        if (i + 1 == c.records.size()) EXPECT_EQ(big_ack.result, c.verdict);
+      }
+      // Each present touched entry is staged once; none of the namespace.
+      EXPECT_EQ(big.staged() - big_staged, present);
+      EXPECT_EQ(small.staged() - small_staged, present);
+    }
+    EXPECT_EQ(*big.server.fetch("/t/d"), recreated);
+    EXPECT_TRUE(big.server.fetch("/t/b.conflict-1").is_ok());
+    EXPECT_EQ(*big.server.fetch("/t/e.conflict-1"),
+              content["/t/e.conflict-1"]);
+
+    for (const std::string& path : touched) {
+      EXPECT_EQ(describe(big.server, path), describe(small.server, path))
+          << path;
+    }
+    for (const std::string& path : unrelated) {
+      EXPECT_EQ(describe(big.server, path), unrelated_before[path]) << path;
+    }
+    EXPECT_EQ(big.server.paths().size(),
+              small.server.paths().size() + kUnrelated);
+    EXPECT_EQ(big.server.store().unique_bytes() -
+                  small.server.store().unique_bytes(),
+              unique_gap);
+    EXPECT_EQ(big.server.store().logical_bytes() -
+                  small.server.store().logical_bytes(),
+              logical_gap);
+    EXPECT_EQ(big.server.meter().snapshot().units_by_kind,
+              small.server.meter().snapshot().units_by_kind);
+  }
 }
 
 }  // namespace

@@ -275,12 +275,26 @@ Observed observe(const CloudServer& server,
 
 /// Runs the seeded scenario against a server with `shards` apply lanes.
 /// With `bundle`, each round's small records ride one record_bundle frame
-/// per client instead of individual frames.
+/// per client instead of individual frames.  `prefill` unrelated files,
+/// each with history, are applied first (a namespace the stream never
+/// touches).
 Observed run_scenario(std::uint64_t seed, std::size_t shards,
-                      bool bundle = false) {
+                      bool bundle = false, std::size_t prefill = 0) {
   ServerConfig config;
   config.apply_shards = shards;
   CloudServer server(CostProfile::pc(), config);
+  Rng fill_rng(seed + 1'000);
+  for (std::size_t i = 0; i < prefill; ++i) {
+    SyncRecord record;
+    record.kind = OpKind::full_file;
+    record.path = "/bulk/f" + std::to_string(i);
+    record.payload = fill_rng.bytes(fill_rng.next_in(64, 1'024));
+    for (std::uint64_t v = 1; v <= 2; ++v) {
+      record.payload = mutate(fill_rng, record.payload);
+      record.new_version = {kClients + 1, i * 2 + v};
+      server.apply_record(kClients + 1, record);
+    }
+  }
 
   std::vector<Transport> transports;
   transports.reserve(kClients);
@@ -331,6 +345,20 @@ TEST_P(ServerParallelEquivalence, ShardCountsProduceIdenticalOutputs) {
   ASSERT_GT(serial.processed, 100u) << "scenario too small to mean anything";
   for (const std::size_t shards : {2u, 4u, 8u}) {
     const Observed parallel = run_scenario(seed, shards);
+    EXPECT_EQ(parallel.processed, serial.processed) << "shards=" << shards;
+    EXPECT_EQ(parallel.state, serial.state) << "shards=" << shards;
+    EXPECT_EQ(parallel.wire, serial.wire) << "shards=" << shards;
+    EXPECT_EQ(parallel.meter, serial.meter) << "shards=" << shards;
+  }
+}
+
+TEST_P(ServerParallelEquivalence, PrefilledNamespaceMatchesSerial) {
+  // Groups stage only their touched entries in both pumps, so a large
+  // namespace the stream never touches changes nothing but its own dump.
+  const std::uint64_t seed = GetParam();
+  const Observed serial = run_scenario(seed, 1, false, /*prefill=*/500);
+  for (const std::size_t shards : {2u, 4u}) {
+    const Observed parallel = run_scenario(seed, shards, false, 500);
     EXPECT_EQ(parallel.processed, serial.processed) << "shards=" << shards;
     EXPECT_EQ(parallel.state, serial.state) << "shards=" << shards;
     EXPECT_EQ(parallel.wire, serial.wire) << "shards=" << shards;

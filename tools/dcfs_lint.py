@@ -30,6 +30,11 @@ Checks (all on src/ unless noted):
                   sorted flat array), which keeps the candidate order the
                   delta's byte-exactness depends on; a second lookup
                   structure would have to reproduce that order by accident.
+  namespace-copy  Copy-construction or copy-assignment of the server's
+                  namespace (files_, tombstones_, ctx.files, ctx.tombstones)
+                  in src/server.  A transactional group stages only the
+                  entries its records touch; a whole-namespace copy makes
+                  every apply cost what the server holds instead.
   blocking-net    Direct Transport calls (client_send/server_send/client_poll/
                   server_poll) outside src/net, src/rt, and the two sanctioned
                   serial endpoints (src/core/client.cc, src/server/
@@ -112,6 +117,14 @@ METRIC_CALL_RE = re.compile(r"\.(counter|gauge|histogram)\(\s*\"([^\"]*)\"")
 NAKED_TRACE_RE = re.compile(r"\btracer_?(?:\.|->)\s*(begin|end)\s*\(")
 CHUNK_CDC_RE = re.compile(r"\b(chunk_cdc|chunk_boundaries)\s*\(")
 WEAK_INDEX_RE = re.compile(r"\bstd::unordered_multimap\b")
+NAMESPACE_MAP = (r"(?:ctx\s*(?:\.|->)\s*(?:files|tombstones)"
+                 r"|\bfiles_|\btombstones_)")
+NAMESPACE_COPY_RE = re.compile(
+    # EntryMap staged = ctx.files;  auto copy(files_);  EntryMap m{files_};
+    r"\b(?:EntryMap|auto)\s+\w+\s*(?:=|\(|\{)\s*%(m)s\s*[;)}]"
+    # staged = tombstones_;
+    r"|^\s*[\w.>-]+\s*=\s*%(m)s\s*;" % {"m": NAMESPACE_MAP}
+)
 BLOCKING_NET_RE = re.compile(
     r"\b(client_send|server_send|client_poll|server_poll)\s*\("
 )
@@ -211,6 +224,7 @@ def lint_lines(rel: str, raw_lines: list[str]) -> list[dict]:
     in_par = rel.startswith(os.path.join("src", "par") + os.sep)
     in_net = rel.startswith(os.path.join("src", "net") + os.sep)
     in_rt = rel.startswith(os.path.join("src", "rt") + os.sep)
+    in_server = rel.startswith(os.path.join("src", "server") + os.sep)
     net_endpoint = rel in BLOCKING_NET_ENDPOINTS
     annotation_home = rel == ANNOTATION_HOME
 
@@ -258,6 +272,14 @@ def lint_lines(rel: str, raw_lines: list[str]) -> list[dict]:
                     rel, idx + 1, "weak-index",
                     "look blocks up through rsyncx::detail::WeakIndex — "
                     "its candidate order is part of the delta's output"
+                ))
+
+        if in_server and NAMESPACE_COPY_RE.search(code):
+            if not allowed("namespace-copy", raw_lines, idx):
+                findings.append(finding(
+                    rel, idx + 1, "namespace-copy",
+                    "copies the whole namespace — stage only the entries "
+                    "the records touch (CloudServer::touched_paths)"
                 ))
 
         if not (in_net or in_rt or net_endpoint) and \
@@ -355,6 +377,27 @@ SELF_TEST_CASES = [
      ["chunk-cdc"]),
     (os.path.join("src", "rsyncx", "recon.cc"),
      "  auto chunks = chunk_cdc(data, params, nullptr);",
+     []),
+    (os.path.join("src", "server", "cloud_server.cc"),
+     "  EntryMap staged = ctx.files;",
+     ["namespace-copy"]),
+    (os.path.join("src", "server", "cloud_server.cc"),
+     "  EntryMap saved(tombstones_);",
+     ["namespace-copy"]),
+    (os.path.join("src", "server", "cloud_server.cc"),
+     "    staged = files_;",
+     ["namespace-copy"]),
+    (os.path.join("src", "server", "cloud_server.cc"),
+     "  const EntryMap& live = files_;",
+     []),
+    (os.path.join("src", "server", "cloud_server.cc"),
+     "  ApplyCtx ctx{files_, tombstones_, dirs_, meter_, tracer_};",
+     []),
+    (os.path.join("src", "server", "cloud_server.cc"),
+     "    ctx.files.merge(staged);",
+     []),
+    (os.path.join("src", "core", "client.cc"),
+     "  EntryMap staged = ctx.files;",
      []),
 ]
 
