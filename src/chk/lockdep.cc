@@ -109,7 +109,7 @@ class Graph {
     std::string report;
     std::vector<std::uint32_t> path;
     if (find_path(to, from, path)) {
-      report = format_cycle(from, to, info, path);
+      report = format_cycle(to, info, path);
     }
     info.count = 1;
     edges_.emplace(key, std::move(info));
@@ -176,9 +176,8 @@ class Graph {
   }
 
   /// Caller holds mu_.  `path` is the pre-existing chain to→...→from that
-  /// the new edge from→to closes into a cycle.
-  std::string format_cycle(std::uint32_t from, std::uint32_t to,
-                           const EdgeInfo& info,
+  /// the new edge from→to (`info`) closes into a cycle.
+  std::string format_cycle(std::uint32_t to, const EdgeInfo& info,
                            const std::vector<std::uint32_t>& path) {
     std::string out = "lockdep: lock-order cycle detected\n";
     out += "  acquiring " + classes_[to] + " at " +

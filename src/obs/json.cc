@@ -199,13 +199,13 @@ class Parser {
     consume('[');
     Array items;
     skip_ws();
-    if (consume(']')) return Value(std::move(items));
+    if (consume(']')) return std::make_optional<Value>(std::move(items));
     while (true) {
       std::optional<Value> item = parse_value(depth + 1);
       if (!item) return std::nullopt;
       items.push_back(std::move(*item));
       skip_ws();
-      if (consume(']')) return Value(std::move(items));
+      if (consume(']')) return std::make_optional<Value>(std::move(items));
       if (!consume(',')) {
         fail("expected ',' or ']' in array");
         return std::nullopt;
@@ -217,7 +217,7 @@ class Parser {
     consume('{');
     Object members;
     skip_ws();
-    if (consume('}')) return Value(std::move(members));
+    if (consume('}')) return std::make_optional<Value>(std::move(members));
     while (true) {
       skip_ws();
       std::optional<std::string> key = parse_string();
@@ -231,7 +231,7 @@ class Parser {
       if (!value) return std::nullopt;
       members.emplace(std::move(*key), std::move(*value));
       skip_ws();
-      if (consume('}')) return Value(std::move(members));
+      if (consume('}')) return std::make_optional<Value>(std::move(members));
       if (!consume(',')) {
         fail("expected ',' or '}' in object");
         return std::nullopt;

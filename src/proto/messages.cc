@@ -120,8 +120,12 @@ Bytes encode(const SyncRecord& record) {
 }
 
 void encode_into(const SyncRecord& record, Bytes& wire) {
-  wire.reserve(wire.size() + 64 + record.path.size() + record.path2.size() +
-               record.payload.size());
+  // Every field below except the two paths and the payload: 80 bytes.  A
+  // short reserve regrows the frame at its tail, doubling the buffer and
+  // copying a multi-MiB payload a second time.
+  constexpr std::size_t kFixedBytes = 80;
+  wire.reserve(wire.size() + kFixedBytes + record.path.size() +
+               record.path2.size() + record.payload.size());
   put_u64(wire, record.sequence);
   wire.push_back(static_cast<std::uint8_t>(record.kind));
   put_string(wire, record.path);

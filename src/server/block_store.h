@@ -15,9 +15,8 @@
 // tombstone revival, rename history splices) share one store reference and
 // GC exactly once.
 //
-// Since PR 3 this is the CloudServer's default history storage engine
-// (ServerConfig::use_block_store), so the map mutations are guarded by a
-// reader/writer lock (a lockdep-tracked chk::SharedMutex since PR 5):
+// This is the CloudServer's history storage engine, so the map mutations
+// are guarded by a reader/writer lock (a lockdep-tracked chk::SharedMutex):
 // parallel apply units put/release under the exclusive side while reads
 // and accounting share.  Chunk scanning and hashing — the CPU-heavy part —
 // run outside the lock.  All operations are commutative (refcount

@@ -9,13 +9,28 @@
 #include "rsyncx/delta.h"
 
 namespace dcfs {
+namespace {
+
+/// The ack for `record` with verdict `result`, echoing its sequence and
+/// trace context.
+proto::Ack ack_for(const proto::SyncRecord& record, Errc result) {
+  proto::Ack ack;
+  ack.sequence = record.sequence;
+  ack.result = result;
+  ack.trace_id = record.trace_id;
+  return ack;
+}
+
+}  // namespace
 
 CloudServer::CloudServer(const CostProfile& profile, ServerConfig config,
                          obs::Obs* obs)
-    : meter_(profile), config_(config), store_(config.chunking) {
-  if (config_.apply_shards > 1) {
-    pool_ = std::make_unique<par::WorkerPool>(config_.apply_shards, obs);
-  }
+    : meter_(profile),
+      config_(config),
+      store_(config.chunking),
+      // A one-lane pool never runs a batch; instrumenting it would only
+      // overwrite the par.* metrics of a pool sharing the registry.
+      pool_(config.apply_shards, config.apply_shards > 1 ? obs : nullptr) {
   if (config_.wire_compression) {
     wire_ = std::make_unique<wire::Codec>(config_.wire_config, obs);
   }
@@ -44,11 +59,6 @@ CloudServer::CloudServer(const CostProfile& profile, ServerConfig config,
   }
 }
 
-CloudServer::CloudServer(const CostProfile& profile, std::size_t history_depth,
-                         obs::Obs* obs)
-    : CloudServer(profile, ServerConfig{.history_depth = history_depth},
-                  obs) {}
-
 void CloudServer::attach(std::uint32_t client_id, Transport& transport) {
   clients_[client_id] = &transport;
 }
@@ -65,15 +75,17 @@ void CloudServer::update_store_gauges() {
       static_cast<std::int64_t>(std::llround(store_.dedup_ratio() * 1000.0)));
 }
 
-Result<Bytes> CloudServer::unwire(Bytes frame) {
-  if (wire_ == nullptr) return frame;
+Result<proto::SyncRecord> CloudServer::decode_frame(Bytes frame) {
+  if (wire_ == nullptr) return proto::decode_record(frame);
   wire::DecodeInfo info;
   Result<Bytes> inner = wire_->decode(std::move(frame), &info);
-  if (!inner) return inner;
+  if (!inner) return inner.status();
   if (info.was_compressed) {
     meter_.charge(CostKind::decompress, info.wire_body_size);
   }
-  return inner;
+  Result<proto::SyncRecord> record = proto::decode_record(*inner);
+  wire_->recycle(std::move(*inner));
+  return record;
 }
 
 Result<std::vector<proto::SyncRecord>> CloudServer::unpack_bundle(
@@ -86,36 +98,28 @@ Result<std::vector<proto::SyncRecord>> CloudServer::unpack_bundle(
 }
 
 std::size_t CloudServer::pump() {
-  const std::size_t processed =
-      pool_ != nullptr ? pump_parallel() : pump_serial();
-  update_store_gauges();
-  return processed;
-}
-
-std::size_t CloudServer::pump_serial() {
+  std::vector<PumpItem> batch;
   std::size_t processed = 0;
+  const auto reject = [&](std::uint32_t client_id, proto::Ack ack) {
+    PumpItem item;
+    item.client = client_id;
+    item.ack = std::move(ack);
+    submit(batch, std::move(item));
+  };
   for (auto& [client_id, transport] : clients_) {
     while (auto frame = transport->server_poll()) {
       meter_.charge(CostKind::net_frame, frame->size());
       meter_.charge(CostKind::encrypt, frame->size());  // TLS decrypt
-      Result<Bytes> inner = unwire(std::move(*frame));
-      if (!inner) {
-        proto::Ack ack;
-        ack.result = Errc::corruption;
-        send_ack(client_id, ack);
-        continue;
-      }
-      Result<proto::SyncRecord> record = proto::decode_record(*inner);
-      if (wire_ != nullptr) wire_->recycle(std::move(*inner));
-      if (!record) {
-        proto::Ack ack;
-        ack.result = Errc::corruption;
-        send_ack(client_id, ack);
+      Result<proto::SyncRecord> record = decode_frame(std::move(*frame));
+      if (!record) {  // no sequence or trace context to echo
+        reject(client_id, ack_for(proto::SyncRecord{}, Errc::corruption));
         continue;
       }
       if (record->kind == proto::OpKind::recon_query) {
         // Pure read against the applied state; answered with a recon
-        // frame, never an ack, and not counted as an applied record.
+        // frame, never an ack, and not counted as an applied record.  It
+        // must observe every earlier arrival applied, so it cuts the batch.
+        run_batch(batch);
         answer_recon(client_id, *record);
         ++processed;
         continue;
@@ -123,15 +127,15 @@ std::size_t CloudServer::pump_serial() {
       if (record->kind == proto::OpKind::stream_open ||
           record->kind == proto::OpKind::stream_chunk ||
           record->kind == proto::OpKind::stream_commit) {
-        // Staged outside the apply path; only a commit's synthesized
-        // full_file record enters apply_record (exactly one applied record
-        // per streamed file, like the non-streamed upload).
+        // Staged outside the apply path (touching only streams_, so no
+        // batch cut); only a commit's synthesized full_file record enters
+        // intake (exactly one applied record per streamed file, like the
+        // non-streamed upload).
         ++processed;
         StreamOutcome outcome = handle_stream(client_id, std::move(*record));
-        if (outcome.error) send_ack(client_id, *outcome.error);
+        if (outcome.error) reject(client_id, std::move(*outcome.error));
         if (outcome.record) {
-          const proto::Ack ack = apply_record(client_id, *outcome.record);
-          send_ack(client_id, ack);
+          submit(batch, intake(client_id, std::move(*outcome.record)));
           ++processed;
         }
         continue;
@@ -139,127 +143,97 @@ std::size_t CloudServer::pump_serial() {
       if (record->kind == proto::OpKind::record_bundle) {
         Result<std::vector<proto::SyncRecord>> members = unpack_bundle(*record);
         if (!members) {
-          proto::Ack ack;
-          ack.sequence = record->sequence;
-          ack.trace_id = record->trace_id;
-          ack.result = Errc::corruption;
-          send_ack(client_id, ack);
+          reject(client_id, ack_for(*record, Errc::corruption));
           continue;
         }
         for (proto::SyncRecord& member : *members) {
-          const proto::Ack ack = apply_record(client_id, member);
-          send_ack(client_id, ack);
+          submit(batch, intake(client_id, std::move(member)));
           ++processed;
         }
         continue;
       }
-      const proto::Ack ack = apply_record(client_id, *record);
-      send_ack(client_id, ack);
+      submit(batch, intake(client_id, std::move(*record)));
       ++processed;
     }
   }
+  run_batch(batch);
+  update_store_gauges();
   return processed;
 }
 
-std::size_t CloudServer::pump_parallel() {
-  // One item per serial position: every item owns exactly the outputs the
-  // serial pump would have produced at that position (ack, forwards,
-  // arrivals, rejections, conflict and latency accounting), so emitting
-  // them in item order reproduces the serial output streams exactly.
-  struct PumpItem {
-    enum class Kind { emit, single, group };
-    Kind kind = Kind::emit;
-    std::uint32_t client = 0;
-    proto::OpKind op = proto::OpKind::write;
-    /// False only for undecodable frames (the serial path acks those
-    /// without entering apply_record — no span, no latency sample).
-    bool applied = false;
-    proto::SyncRecord record;                      ///< Kind::single
-    std::vector<proto::SyncRecord> group_records;  ///< Kind::group
-    /// Trace context of the record that produced this item's ack (for a
-    /// group: the closing txn_last record).
-    std::uint64_t trace_id = 0;
-    proto::Ack ack;
-    std::uint64_t pre_units = 0;    ///< intake charges (decompress)
-    std::uint64_t apply_units = 0;  ///< shard-meter charges of the apply
-    std::vector<proto::SyncRecord> forwards;
-    std::vector<std::string> arrivals;
-    std::vector<Rejection> rejections;
-    std::uint64_t conflicts = 0;
-  };
+proto::Ack CloudServer::apply_record(std::uint32_t from_client,
+                                     const proto::SyncRecord& record) {
+  PumpItem item = intake(from_client, record);
+  finish(item, /*apply_inline=*/true);
+  return std::move(item.ack);
+}
 
-  // ---- Phase A: drain + decode + triage, serially, in serial-pump order.
-  std::vector<PumpItem> items;
-  std::size_t processed = 0;
-  auto intake = [&](std::uint32_t client_id, proto::SyncRecord record) {
-    ++processed;
-    ++records_applied_;
-    obs::inc(applied_counter_);
-    PumpItem item;
-    item.client = client_id;
-    item.op = record.kind;
-    item.applied = true;
-    item.trace_id = record.trace_id;
+CloudServer::PumpItem CloudServer::intake(std::uint32_t client,
+                                          proto::SyncRecord record) {
+  ++records_applied_;
+  obs::inc(applied_counter_);
+  PumpItem item;
+  item.client = client;
+  item.op = record.kind;
+  item.applied = true;
+  item.trace_id = record.trace_id;
+  if (record.kind == proto::OpKind::record_bundle) {
+    // Bundles are unpacked by pump(); one reaching intake directly (or
+    // nested in another bundle) is a protocol violation.
+    item.ack = ack_for(record, Errc::corruption);
+    return item;
+  }
+  if (record.compressed) {
     const std::uint64_t units_before = meter_.units();
-    if (record.kind == proto::OpKind::record_bundle) {
-      // Nested bundle smuggled through intake: protocol violation.
-      item.ack.sequence = record.sequence;
-      item.ack.trace_id = record.trace_id;
-      item.ack.result = Errc::corruption;
-      items.push_back(std::move(item));
-      return;
-    }
-    if (record.compressed) {
-      meter_.charge(CostKind::decompress, record.payload.size());
-      Result<Bytes> plain = lz::decompress(record.payload);
-      if (!plain) {
-        item.pre_units = meter_.units() - units_before;
-        item.ack.sequence = record.sequence;
-        item.ack.trace_id = record.trace_id;
-        item.ack.result = Errc::corruption;
-        items.push_back(std::move(item));
-        return;
-      }
-      record.payload = std::move(*plain);
-      record.compressed = false;
-    }
-    if (record.txn_group != 0) {
-      const GroupKey key{client_id, record.txn_group};
-      PendingGroup& group = groups_[key];
-      group.records.push_back(record);
-      if (!record.txn_last) {
-        obs::inc(txn_buffered_);
-        item.pre_units = meter_.units() - units_before;
-        item.ack.sequence = record.sequence;
-        item.ack.trace_id = record.trace_id;
-        item.ack.result = Errc::ok;  // buffered; final verdict with the group
-        items.push_back(std::move(item));
-        return;
-      }
-      PendingGroup complete = std::move(group);
-      groups_.erase(key);
-      ++txn_groups_applied_;
-      obs::inc(txn_groups_counter_);
-      item.kind = PumpItem::Kind::group;
-      item.group_records = std::move(complete.records);
-      item.pre_units = meter_.units() - units_before;
-      items.push_back(std::move(item));
-      return;
-    }
-    item.kind = PumpItem::Kind::single;
+    meter_.charge(CostKind::decompress, record.payload.size());
     item.pre_units = meter_.units() - units_before;
+    Result<Bytes> plain = lz::decompress(record.payload);
+    if (!plain) {
+      item.ack = ack_for(record, Errc::corruption);
+      return item;
+    }
+    record.payload = std::move(*plain);
+    record.compressed = false;
+  }
+  if (record.txn_group == 0) {
+    item.kind = PumpItem::Kind::single;
     item.record = std::move(record);
-    items.push_back(std::move(item));
-  };
+    return item;
+  }
+  const GroupKey key{client, record.txn_group};
+  if (!record.txn_last) {
+    obs::inc(txn_buffered_);
+    item.ack = ack_for(record, Errc::ok);  // buffered; verdict with the group
+    groups_[key].push_back(std::move(record));
+    return item;
+  }
+  if (auto node = groups_.extract(key)) {
+    item.group_records = std::move(node.mapped());
+  }
+  item.group_records.push_back(std::move(record));
+  ++txn_groups_applied_;
+  obs::inc(txn_groups_counter_);
+  item.kind = PumpItem::Kind::group;
+  return item;
+}
 
-  // ---- Phases B-E, bundled so the drain loop can run them per
-  // sub-batch: a recon query must observe every earlier arrival applied
-  // (exactly like the serial pump), so it cuts the batch — everything
-  // collected so far is partitioned/applied/emitted first, then the query
-  // is answered serially against the merged state.
-  auto run_batch = [&]() {
-  if (items.empty()) return;
-  // ---- Phase B: partition into independent units by touched-path sets
+void CloudServer::submit(std::vector<PumpItem>& batch, PumpItem item) {
+  batch.push_back(std::move(item));
+  if (pool_.parallelism() == 1) run_batch(batch);
+}
+
+void CloudServer::run_batch(std::vector<PumpItem>& batch) {
+  const bool sharded = pool_.parallelism() > 1;
+  if (sharded) apply_sharded(batch);
+  for (PumpItem& item : batch) {
+    if (item.applied) finish(item, /*apply_inline=*/!sharded);
+    send_ack(item.client, item.ack);
+  }
+  batch.clear();
+}
+
+void CloudServer::apply_sharded(std::vector<PumpItem>& items) {
+  // ---- Partition into independent units by touched-path sets
   // (touched_paths); a transactional group is the union over its records
   // (it applies atomically, so it is one unit).
   std::vector<int> dsu;
@@ -318,13 +292,14 @@ std::size_t CloudServer::pump_parallel() {
     if (inserted) units.emplace_back();
     units[it->second].item_indices.push_back(i);
   }
+  if (units.empty()) return;
   for (const auto& [path, id] : path_ids) {
     const auto it = root_to_unit.find(find(id));
     if (it != root_to_unit.end()) units[it->second].paths.push_back(path);
   }
 
-  // ---- Phase C: extract each unit's shard of the server state.  Units
-  // touch disjoint path sets, so the extraction fully isolates them.
+  // ---- Extract each unit's shard of the server state.  Units touch
+  // disjoint path sets, so the extraction fully isolates them.
   struct Shard {
     EntryMap files;
     EntryMap tombstones;
@@ -345,263 +320,96 @@ std::size_t CloudServer::pump_parallel() {
     }
   }
 
-  // ---- Phase D: apply the units concurrently.  Items within a unit run
+  // ---- Apply the units concurrently.  Items within a unit run
   // sequentially in arrival order; the BlockStore is internally locked and
   // its refcount operations commute, so history puts from different units
   // interleave safely.
-  if (!units.empty()) {
-    pool_->parallel_for(units.size(), 1, [&](std::size_t begin,
-                                             std::size_t end) {
-      for (std::size_t ui = begin; ui < end; ++ui) {
-        Shard& shard = shards[ui];
-        for (const std::size_t idx : units[ui].item_indices) {
-          PumpItem& item = items[idx];
-          ApplyCtx ctx{shard.files, shard.tombstones, shard.dirs, shard.meter,
-                       tracer_};
-          const std::uint64_t units_before = shard.meter.units();
-          if (item.kind == PumpItem::Kind::single) {
-            item.ack = apply_one(item.client, item.record, shard.files,
-                                 nullptr, nullptr, ctx);
-            if (item.ack.result == Errc::ok) {
-              item.forwards.push_back(item.record);
-            }
-          } else {
-            PendingGroup group;
-            group.records = std::move(item.group_records);
-            const std::vector<proto::Ack> acks =
-                apply_group(item.client, std::move(group), ctx, item.forwards);
-            item.ack = acks.empty() ? proto::Ack{} : acks.back();
-          }
-          item.apply_units = shard.meter.units() - units_before;
-          item.conflicts = ctx.conflicts;
-          item.rejections = std::move(ctx.rejections);
-          item.arrivals = std::move(ctx.arrivals);
-        }
+  pool_.parallel_for(units.size(), 1, [&](std::size_t begin,
+                                          std::size_t end) {
+    for (std::size_t ui = begin; ui < end; ++ui) {
+      Shard& shard = shards[ui];
+      for (const std::size_t idx : units[ui].item_indices) {
+        ApplyCtx ctx{shard.files, shard.tombstones, shard.dirs, shard.meter,
+                     items[idx]};
+        apply_item(ctx);
       }
-    });
-  }
+    }
+  });
 
-  // ---- Phase E: merge shard state back and emit every item's outputs in
-  // arrival order — the exact streams the serial pump would have produced.
+  // ---- Merge the shard state back; run_batch emits in arrival order.
   for (Shard& shard : shards) {
     meter_.merge(shard.meter);
     files_.merge(shard.files);
     tombstones_.merge(shard.tombstones);
     dirs_.merge(shard.dirs);
   }
-  for (PumpItem& item : items) {
-    if (!item.applied) {
-      send_ack(item.client, item.ack);
-      continue;
-    }
-    obs::Span span(tracer_, tn_.apply, kind_cat(item.op));
-    if (item.trace_id != 0 && tracer_ != nullptr) {
-      tracer_->flow_end(item.trace_id);
-    }
-    if (item.kind == PumpItem::Kind::group) {
-      obs::Span group_span(tracer_, tn_.apply_group);
-    }
-    conflicts_seen_ += item.conflicts;
-    if (item.conflicts > 0) obs::inc(conflict_counter_, item.conflicts);
-    for (Rejection& rejection : item.rejections) {
-      rejections_.push_back(std::move(rejection));
-    }
-    for (const std::string& path : item.arrivals) record_arrival(path);
-    const std::uint64_t forward_before = meter_.units();
-    for (const proto::SyncRecord& record : item.forwards) {
-      forward(item.client, record);
-    }
-    const std::uint64_t apply_us =
-        (item.pre_units + item.apply_units + meter_.units() - forward_before) *
-        10'000 / meter_.profile().units_per_tick;
-    if (apply_latency_us_ != nullptr) apply_latency_us_->observe(apply_us);
-    if (stages_ != nullptr) stages_->record(obs::Stage::apply, apply_us);
-    if (item.trace_id != 0 && tracer_ != nullptr) {
-      tracer_->flow_start(proto::ack_flow_id(item.trace_id));
-    }
-    send_ack(item.client, item.ack);
-  }
-  items.clear();
-  };  // run_batch
-
-  for (auto& [client_id, transport] : clients_) {
-    while (auto frame = transport->server_poll()) {
-      meter_.charge(CostKind::net_frame, frame->size());
-      meter_.charge(CostKind::encrypt, frame->size());
-      Result<Bytes> inner = unwire(std::move(*frame));
-      if (!inner) {
-        PumpItem item;
-        item.client = client_id;
-        item.ack.result = Errc::corruption;
-        items.push_back(std::move(item));
-        continue;
-      }
-      Result<proto::SyncRecord> record = proto::decode_record(*inner);
-      if (wire_ != nullptr) wire_->recycle(std::move(*inner));
-      if (!record) {
-        PumpItem item;
-        item.client = client_id;
-        item.ack.result = Errc::corruption;
-        items.push_back(std::move(item));
-        continue;
-      }
-      if (record->kind == proto::OpKind::recon_query) {
-        run_batch();  // the query reads state earlier arrivals produce
-        answer_recon(client_id, *record);
-        ++processed;
-        continue;
-      }
-      if (record->kind == proto::OpKind::stream_open ||
-          record->kind == proto::OpKind::stream_chunk ||
-          record->kind == proto::OpKind::stream_commit) {
-        // Staging touches only streams_, never applied state — no batch
-        // barrier needed; a commit's synthesized record joins the batch at
-        // its arrival position, and an error ack rides an emit item so ack
-        // ordering matches the serial pump.
-        ++processed;
-        StreamOutcome outcome = handle_stream(client_id, std::move(*record));
-        if (outcome.error) {
-          PumpItem item;
-          item.client = client_id;
-          item.ack = *outcome.error;
-          items.push_back(std::move(item));
-        }
-        if (outcome.record) intake(client_id, std::move(*outcome.record));
-        continue;
-      }
-      if (record->kind == proto::OpKind::record_bundle) {
-        Result<std::vector<proto::SyncRecord>> members = unpack_bundle(*record);
-        if (!members) {
-          PumpItem item;
-          item.client = client_id;
-          item.ack.sequence = record->sequence;
-          item.ack.trace_id = record->trace_id;
-          item.ack.result = Errc::corruption;
-          items.push_back(std::move(item));
-          continue;
-        }
-        for (proto::SyncRecord& member : *members) {
-          intake(client_id, std::move(member));
-        }
-        continue;
-      }
-      intake(client_id, std::move(*record));
-    }
-  }
-  run_batch();
-  return processed;
 }
 
-proto::Ack CloudServer::apply_record(std::uint32_t from_client,
-                                     const proto::SyncRecord& raw_record) {
-  obs::Span span(tracer_, tn_.apply, kind_cat(raw_record.kind));
-  if (raw_record.trace_id != 0 && tracer_ != nullptr) {
-    tracer_->flow_end(raw_record.trace_id);
+void CloudServer::apply_item(ApplyCtx& ctx) {
+  PumpItem& item = ctx.item;
+  const std::uint64_t units_before = ctx.meter.units();
+  if (item.kind == PumpItem::Kind::single) {
+    item.ack = apply_one(item.record, ctx.files, nullptr, nullptr, ctx);
+    if (item.ack.result == Errc::ok) {
+      item.forwards.push_back(std::move(item.record));
+    }
+  } else if (item.kind == PumpItem::Kind::group) {
+    item.ack = apply_group(ctx);
   }
-  obs::inc(applied_counter_);
-  const std::uint64_t units_before = meter_.units();
-  const std::uint64_t conflicts_before = conflicts_seen_;
-  proto::Ack ack = apply_record_impl(from_client, raw_record);
-  // Modeled apply latency: the cost-model units this record consumed,
-  // converted at 10 ms-per-tick — deterministic in virtual time.
-  const std::uint64_t apply_us = (meter_.units() - units_before) * 10'000 /
-                                 meter_.profile().units_per_tick;
-  if (apply_latency_us_ != nullptr) apply_latency_us_->observe(apply_us);
-  if (stages_ != nullptr) stages_->record(obs::Stage::apply, apply_us);
-  if (conflicts_seen_ > conflicts_before) {
-    obs::inc(conflict_counter_, conflicts_seen_ - conflicts_before);
-  }
-  if (raw_record.trace_id != 0 && tracer_ != nullptr) {
-    tracer_->flow_start(proto::ack_flow_id(raw_record.trace_id));
-  }
-  return ack;
+  item.apply_units = ctx.meter.units() - units_before;
 }
 
-proto::Ack CloudServer::apply_record_impl(std::uint32_t from_client,
-                                          const proto::SyncRecord& raw_record) {
-  ++records_applied_;
-  proto::SyncRecord record = raw_record;
-  if (record.kind == proto::OpKind::record_bundle) {
-    // Bundles are unpacked by pump(); one reaching the apply path directly
-    // (or nested in another bundle) is a protocol violation.
-    proto::Ack ack;
-    ack.sequence = record.sequence;
-    ack.trace_id = record.trace_id;
-    ack.result = Errc::corruption;
-    return ack;
+void CloudServer::finish(PumpItem& item, bool apply_inline) {
+  obs::Span span(tracer_, tn_.apply, kind_cat(item.op));
+  if (item.trace_id != 0 && tracer_ != nullptr) {
+    tracer_->flow_end(item.trace_id);
   }
-  if (record.compressed) {
-    meter_.charge(CostKind::decompress, record.payload.size());
-    Result<Bytes> plain = lz::decompress(record.payload);
-    if (!plain) {
-      proto::Ack ack;
-      ack.sequence = record.sequence;
-      ack.trace_id = record.trace_id;
-      ack.result = Errc::corruption;
-      return ack;
+  {
+    // One lane applies a group inside server.apply_group; a sharded group
+    // was applied on its pool lane, and the span only marks it.
+    const obs::Span group_span(
+        item.kind == PumpItem::Kind::group ? tracer_ : nullptr,
+        tn_.apply_group);
+    if (apply_inline) {
+      ApplyCtx ctx{files_, tombstones_, dirs_, meter_, item};
+      apply_item(ctx);
     }
-    record.payload = std::move(*plain);
-    record.compressed = false;
   }
-
-  if (record.txn_group != 0) {
-    const GroupKey key{from_client, record.txn_group};
-    PendingGroup& group = groups_[key];
-    group.records.push_back(record);
-    if (!record.txn_last) {
-      obs::inc(txn_buffered_);
-      proto::Ack ack;
-      ack.sequence = record.sequence;
-      ack.trace_id = record.trace_id;
-      ack.result = Errc::ok;  // buffered; final verdict with the group
-      return ack;
-    }
-    PendingGroup complete = std::move(group);
-    groups_.erase(key);
-    ++txn_groups_applied_;
-    obs::inc(txn_groups_counter_);
-    obs::Span span(tracer_, tn_.apply_group);
-    ApplyCtx ctx{files_, tombstones_, dirs_, meter_, tracer_};
-    std::vector<proto::SyncRecord> forwards;
-    std::vector<proto::Ack> acks =
-        apply_group(from_client, std::move(complete), ctx, forwards);
-    commit_ctx(ctx);
-    for (const proto::SyncRecord& fwd : forwards) forward(from_client, fwd);
-    return acks.empty() ? proto::Ack{} : acks.back();
-  }
-
-  ApplyCtx ctx{files_, tombstones_, dirs_, meter_, tracer_};
-  proto::Ack ack = apply_one(from_client, record, files_, nullptr, nullptr,
-                             ctx);
-  commit_ctx(ctx);
-  if (ack.result == Errc::ok) forward(from_client, record);
-  return ack;
-}
-
-void CloudServer::commit_ctx(ApplyCtx& ctx) {
-  conflicts_seen_ += ctx.conflicts;
-  for (Rejection& rejection : ctx.rejections) {
+  conflicts_seen_ += item.conflicts;
+  if (item.conflicts > 0) obs::inc(conflict_counter_, item.conflicts);
+  for (Rejection& rejection : item.rejections) {
     rejections_.push_back(std::move(rejection));
   }
-  for (const std::string& path : ctx.arrivals) record_arrival(path);
-  ctx.conflicts = 0;
-  ctx.rejections.clear();
-  ctx.arrivals.clear();
+  for (const std::string& path : item.arrivals) record_arrival(path);
+  const std::uint64_t forward_before = meter_.units();
+  for (const proto::SyncRecord& record : item.forwards) {
+    forward(item.client, record);
+  }
+  // Modeled apply latency: the cost-model units this item consumed,
+  // converted at 10 ms-per-tick — deterministic in virtual time.
+  const std::uint64_t apply_us =
+      (item.pre_units + item.apply_units + meter_.units() - forward_before) *
+      10'000 / meter_.profile().units_per_tick;
+  if (apply_latency_us_ != nullptr) apply_latency_us_->observe(apply_us);
+  if (stages_ != nullptr) stages_->record(obs::Stage::apply, apply_us);
+  if (item.trace_id != 0 && tracer_ != nullptr) {
+    tracer_->flow_start(proto::ack_flow_id(item.trace_id));
+  }
 }
 
-std::vector<proto::Ack> CloudServer::apply_group(
-    std::uint32_t from_client, PendingGroup group, ApplyCtx& ctx,
-    std::vector<proto::SyncRecord>& forwards) {
+proto::Ack CloudServer::apply_group(ApplyCtx& ctx) {
   // Transactional apply (§III-E): stage every record against the entries
   // the group touches; commit only if all succeed.  On any conflict the
   // whole group becomes conflicted.  The touched entries move out of
   // ctx.files into `staged`; their one copy is the pre-group `snapshot`
   // that resolve_base reads and a conflict puts back.  Nothing else in the
   // namespace is copied, so a group costs what it touches.
+  PumpItem& item = ctx.item;
+  std::vector<proto::SyncRecord>& records = item.group_records;
   EntryMap staged;
   EntryMap snapshot;
-  for (const proto::SyncRecord& record : group.records) {
-    for (const std::string& path : touched_paths(record, from_client)) {
+  for (const proto::SyncRecord& record : records) {
+    for (const std::string& path : touched_paths(record, item.client)) {
       auto node = ctx.files.extract(path);  // empty once already staged
       if (!node) continue;
       snapshot.emplace(path, node.mapped());
@@ -617,38 +425,36 @@ std::vector<proto::Ack> CloudServer::apply_group(
     registry_->counter("server.txn.staged_entries").inc(staged.size());
   }
 
-  std::vector<proto::Ack> acks;
+  proto::Ack ack;
   bool conflicted = false;
   VersionSet group_versions;
-  for (const proto::SyncRecord& record : group.records) {
-    proto::Ack ack = apply_one(from_client, record, staged, &snapshot,
-                               &group_versions, ctx);
+  for (const proto::SyncRecord& record : records) {
+    ack = apply_one(record, staged, &snapshot, &group_versions, ctx);
     if (ack.result == Errc::conflict) conflicted = true;
     group_versions.insert(
         {record.new_version.client_id, record.new_version.counter});
-    acks.push_back(std::move(ack));
   }
 
   if (!conflicted) {
     // Every name apply_one wrote is a touched path, and all of those left
     // ctx.files above, so the merge moves every staged entry back.
     ctx.files.merge(staged);
-    for (const proto::SyncRecord& record : group.records) {
+    for (proto::SyncRecord& record : records) {
       if (ctx.files.contains(record.path)) {
-        ctx.arrivals.push_back(record.path);
+        item.arrivals.push_back(record.path);
       }
-      forwards.push_back(record);
+      item.forwards.push_back(std::move(record));
     }
-    return acks;
+    return ack;
   }
 
   // Conflict: the whole group is labeled conflicted (§III-E) and the main
   // files stay untouched.  apply_one already materialized conflict copies
   // into the staged map while processing the group; harvest just those,
   // then put the pre-group entries back.
-  ++ctx.conflicts;
-  for (proto::Ack& ack : acks) ack.result = Errc::conflict;
-  const std::string marker = ".conflict-" + std::to_string(from_client);
+  ++item.conflicts;
+  ack.result = Errc::conflict;
+  const std::string marker = ".conflict-" + std::to_string(item.client);
   for (auto& [path, entry] : staged) {
     if (path.find(marker) == std::string::npos) continue;
     if (snapshot.contains(path)) continue;  // pre-existing conflict copy
@@ -657,18 +463,14 @@ std::vector<proto::Ack> CloudServer::apply_group(
     ctx.files[path] = std::move(entry);
   }
   ctx.files.merge(snapshot);
-  return acks;
+  return ack;
 }
 
-proto::Ack CloudServer::apply_one(std::uint32_t from_client,
-                                  const proto::SyncRecord& record,
+proto::Ack CloudServer::apply_one(const proto::SyncRecord& record,
                                   EntryMap& files, const EntryMap* snapshot,
                                   const VersionSet* group_versions,
                                   ApplyCtx& ctx) {
-  proto::Ack ack;
-  ack.sequence = record.sequence;
-  ack.trace_id = record.trace_id;
-  ack.result = Errc::ok;
+  proto::Ack ack = ack_for(record, Errc::ok);
 
   const bool staged = snapshot != nullptr;
 
@@ -678,7 +480,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
       break;
 
     case proto::OpKind::recon_query:
-      // Queries are intercepted in the pumps (answered, never applied); one
+      // Queries are intercepted by pump() (answered, never applied); one
       // reaching here bypassed framing — reject it.
       ack.result = Errc::corruption;
       break;
@@ -686,7 +488,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
     case proto::OpKind::stream_open:
     case proto::OpKind::stream_chunk:
     case proto::OpKind::stream_commit:
-      // Stream records are staged in the pumps (handle_stream); only the
+      // Stream records are staged by pump() (handle_stream); only the
       // commit-synthesized full_file enters the apply layer.  One reaching
       // here bypassed framing — reject it.
       ack.result = Errc::corruption;
@@ -782,7 +584,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
       }
       FileEntry& entry = it->second;
       if (entry.version != record.base_version && !staged) {
-        ++ctx.conflicts;
+        ++ctx.item.conflicts;
         ack.result = Errc::conflict;
         break;
       }
@@ -790,7 +592,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
       entry.content.resize(record.size, 0);
       entry.version = record.new_version;
       entry.derived_version = entry.version;  // only the size changed
-      if (!staged) ctx.arrivals.push_back(record.path);
+      if (!staged) ctx.item.arrivals.push_back(record.path);
       break;
     }
 
@@ -820,7 +622,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
         const Bytes* base =
             resolve_base(record.path, record.base_version, files, snapshot,
                          ctx.tombstones, from_history, scratch);
-        ++ctx.conflicts;
+        ++ctx.item.conflicts;
         ack.result = Errc::conflict;
         if (base != nullptr) {
           Bytes content = *base;
@@ -831,7 +633,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
                       content.begin() +
                           static_cast<std::ptrdiff_t>(segment.offset));
           }
-          const std::string name = conflict_name(record.path, from_client);
+          const std::string name = conflict_name(record.path, ctx.item.client);
           FileEntry& conflict = files[name];
           conflict.content = std::move(content);
           conflict.version = record.new_version;
@@ -855,7 +657,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
       ctx.meter.charge(CostKind::disk_write, written);
       entry.version = record.new_version;
       entry.derived_version = entry.version;
-      if (!staged) ctx.arrivals.push_back(record.path);
+      if (!staged) ctx.item.arrivals.push_back(record.path);
       break;
     }
 
@@ -905,7 +707,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
                               ? std::string("none")
                               : proto::to_string(f->second.version)});
         }
-        ++ctx.conflicts;
+        ++ctx.item.conflicts;
         ack.result = Errc::conflict;
         break;
       }
@@ -935,9 +737,9 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
                        {"path", record.path}, {"ref", ref},
                        {"base_version", proto::to_string(record.base_version)});
         // The base was superseded by another lineage: conflict copy.
-        ++ctx.conflicts;
+        ++ctx.item.conflicts;
         ack.result = Errc::conflict;
-        const std::string name = conflict_name(record.path, from_client);
+        const std::string name = conflict_name(record.path, ctx.item.client);
         FileEntry& conflict = files[name];
         conflict.content = std::move(*rebuilt);
         conflict.version = record.new_version;
@@ -948,7 +750,7 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
       push_history(entry);
       entry.content = std::move(*rebuilt);
       entry.version = record.new_version;
-      if (!staged) ctx.arrivals.push_back(record.path);
+      if (!staged) ctx.item.arrivals.push_back(record.path);
       break;
     }
 
@@ -959,12 +761,12 @@ proto::Ack CloudServer::apply_one(std::uint32_t from_client,
       entry.version = record.new_version;
       ctx.meter.charge(CostKind::byte_copy, entry.content.size());
       ctx.meter.charge(CostKind::disk_write, entry.content.size());
-      if (!staged) ctx.arrivals.push_back(record.path);
+      if (!staged) ctx.item.arrivals.push_back(record.path);
       break;
     }
   }
   if (ack.result != Errc::ok) {
-    ctx.rejections.push_back({record.kind, record.path, record.path2,
+    ctx.item.rejections.push_back({record.kind, record.path, record.path2,
                               ack.result, record.base_version});
   }
   return ack;
@@ -1019,12 +821,10 @@ const Bytes* CloudServer::resolve_base(std::string_view ref,
 CloudServer::FileVersion CloudServer::make_version(FileEntry& entry) {
   FileVersion v;
   v.version = entry.version;
-  if (config_.use_block_store && !entry.content.empty()) {
+  if (!entry.content.empty()) {
     const std::shared_ptr<const BlockHandle> basis =
         entry.derived_version == entry.version ? entry.basis.lock() : nullptr;
     v.blocks = store_.put_shared(entry.content, basis.get(), entry.dirty);
-  } else {
-    v.content = entry.content;
   }
   entry.basis = v.blocks;
   entry.dirty.clear();
@@ -1033,7 +833,10 @@ CloudServer::FileVersion CloudServer::make_version(FileEntry& entry) {
 
 const Bytes* CloudServer::version_bytes(const FileVersion& v,
                                         Bytes& scratch) const {
-  if (!v.blocks) return &v.content;
+  if (!v.blocks) {
+    scratch.clear();
+    return &scratch;
+  }
   Result<Bytes> content = store_.get(*v.blocks);
   if (!content) return nullptr;  // lost chunk: treat the version as gone
   scratch = std::move(*content);
@@ -1092,6 +895,7 @@ void CloudServer::answer_recon(std::uint32_t client_id,
   // later rounds pin the exact version round 0 answered with, so a
   // concurrent update (or unlink) between rounds cannot shear the
   // negotiation: the pinned version is still in the entry's history.
+  const Bytes no_content;
   const Bytes* inline_content = nullptr;
   const BlockHandle* blocks = nullptr;
   const auto locate = [&](const EntryMap& map, bool deleted) {
@@ -1108,13 +912,9 @@ void CloudServer::answer_recon(std::uint32_t client_id,
     }
     for (const FileVersion& version : entry.history) {
       if (!(version.version == record.base_version)) continue;
-      if (version.blocks != nullptr) {
-        blocks = version.blocks.get();
-        response.base_size = version.blocks->size;
-      } else {
-        inline_content = &version.content;
-        response.base_size = version.content.size();
-      }
+      blocks = version.blocks.get();
+      if (blocks == nullptr) inline_content = &no_content;  // empty version
+      response.base_size = blocks != nullptr ? blocks->size : 0;
       response.base = version.version;
       response.base_deleted = deleted;
       return true;
@@ -1215,13 +1015,7 @@ void CloudServer::send_recon(std::uint32_t client_id,
 CloudServer::StreamOutcome CloudServer::handle_stream(
     std::uint32_t client_id, proto::SyncRecord record) {
   StreamOutcome out;
-  const auto violation = [&] {
-    proto::Ack ack;
-    ack.sequence = record.sequence;
-    ack.trace_id = record.trace_id;
-    ack.result = Errc::corruption;
-    out.error = ack;
-  };
+  const auto violation = [&] { out.error = ack_for(record, Errc::corruption); };
   const std::pair<std::uint32_t, std::uint64_t> key{client_id,
                                                     record.sequence};
   switch (record.kind) {
@@ -1427,8 +1221,8 @@ Result<Bytes> CloudServer::fetch_version(
   if (it->second.version == version) return it->second.content;
   for (const FileVersion& v : it->second.history) {
     if (v.version != version) continue;
-    if (v.blocks) return store_.get(*v.blocks);
-    return v.content;
+    if (!v.blocks) return Bytes{};
+    return store_.get(*v.blocks);
   }
   return Errc::not_found;
 }

@@ -148,7 +148,7 @@ bool WordWorkload::step(FileSystem& fs) {
   // what makes NFS re-fetch the renamed file).
   if (Result<FileHandle> handle = fs.open(params_.doc)) {
     Result<FileStat> st = fs.stat(params_.doc);
-    if (st) fs.read(*handle, 0, st->size);
+    if (st) (void)fs.read(*handle, 0, st->size);  // the bytes are unused
     fs.close(*handle);
   }
 

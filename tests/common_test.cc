@@ -43,7 +43,7 @@ TEST(ResultTest, HoldsError) {
 
 TEST(ResultTest, AccessingErrorThrowsLogicError) {
   Result<int> result(Errc::io_error);
-  EXPECT_THROW(result.value(), BadResultAccess);
+  EXPECT_THROW((void)result.value(), BadResultAccess);
 }
 
 TEST(ResultTest, ConstructingFromOkStatusThrows) {

@@ -71,7 +71,9 @@ TEST_P(FuzzSeedTest, MutatedLzStreamsNeverCrash) {
     // never a crash, never unbounded output.
     Bytes out;
     const Status status = lz::decompress_into(mutated, out, 1 << 20);
-    if (!status.is_ok()) EXPECT_EQ(status.code(), Errc::corruption);
+    if (!status.is_ok()) {
+      EXPECT_EQ(status.code(), Errc::corruption);
+    }
   }
 }
 

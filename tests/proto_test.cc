@@ -51,6 +51,16 @@ TEST(ProtoTest, RecordWithBinaryPayloadRoundTrips) {
   EXPECT_EQ(*decoded, record);
 }
 
+TEST(ProtoTest, RecordEncodeAllocatesOnce) {
+  // encode_into reserves the whole frame up front; a short reserve would
+  // regrow the buffer to twice the frame at the last fields.
+  SyncRecord record = sample_record();
+  record.payload = Bytes(100'000, 7);
+  Bytes wire{2};  // a server-to-client tag byte, as forward() prefixes
+  encode_into(record, wire);
+  EXPECT_LT(wire.capacity(), wire.size() + wire.size() / 2);
+}
+
 TEST(ProtoTest, TruncatedRecordFails) {
   Bytes wire = encode(sample_record());
   for (const std::size_t cut : {0u, 1u, 8u, 9u, 20u}) {

@@ -32,7 +32,7 @@ SyncRecord full_file(const std::string& path, ByteSpan content,
 }
 
 TEST(ServerHistoryTest, DepthIsBounded) {
-  CloudServer server(CostProfile::pc(), /*history_depth=*/4);
+  CloudServer server(CostProfile::pc(), ServerConfig{.history_depth = 4});
   for (std::uint64_t i = 1; i <= 20; ++i) {
     server.apply_record(1, full_file("/f", to_bytes("v" + std::to_string(i)),
                                      {1, i}));
@@ -152,7 +152,6 @@ TEST(ServerGroupTest, GroupIdsNeverAliasAcrossClients) {
 
 TEST(ServerStoreTest, NearIdenticalHistoryDedups) {
   CloudServer server(CostProfile::pc());
-  ASSERT_TRUE(server.config().use_block_store);
   Rng rng(3);
   Bytes content = rng.bytes(200'000);
   for (std::uint64_t i = 1; i <= 10; ++i) {
@@ -237,18 +236,6 @@ TEST(ServerStoreTest, RevivedHistorySharesChunksWithTombstone) {
   Result<Bytes> old_content = server.fetch_version("/f", {1, 1});
   ASSERT_TRUE(old_content.is_ok());
   EXPECT_EQ(*old_content, generation1);
-}
-
-TEST(ServerStoreTest, DisablingBlockStoreKeepsHistoryInline) {
-  ServerConfig config;
-  config.use_block_store = false;
-  CloudServer server(CostProfile::pc(), config);
-  Rng rng(7);
-  for (std::uint64_t i = 1; i <= 4; ++i) {
-    server.apply_record(1, full_file("/f", rng.bytes(10'000), {1, i}));
-  }
-  EXPECT_EQ(server.store().unique_bytes(), 0u);
-  EXPECT_TRUE(server.fetch_version("/f", {1, 1}).is_ok());
 }
 
 TEST(ServerStoreTest, InPlaceWriteHistoryMatchesFullChunking) {
@@ -398,7 +385,7 @@ std::string describe(const CloudServer& server, const std::string& path) {
 /// A server plus its observability registry, so staged_entries is readable.
 struct CountedServer {
   obs::Obs obs;
-  CloudServer server{CostProfile::pc(), /*history_depth=*/16, &obs};
+  CloudServer server{CostProfile::pc(), ServerConfig{}, &obs};
   [[nodiscard]] std::uint64_t staged() {
     return obs.registry.counter("server.txn.staged_entries").value();
   }
@@ -524,7 +511,9 @@ TEST(ServerGroupStagingTest, GroupsCostWhatTheyTouchNotTheNamespace) {
         const proto::Ack small_ack = small.server.apply_record(1, record);
         EXPECT_EQ(big_ack.result, small_ack.result);
         EXPECT_EQ(big_ack.conflict_path, small_ack.conflict_path);
-        if (i + 1 == c.records.size()) EXPECT_EQ(big_ack.result, c.verdict);
+        if (i + 1 == c.records.size()) {
+          EXPECT_EQ(big_ack.result, c.verdict);
+        }
       }
       // Each present touched entry is staged once; none of the namespace.
       EXPECT_EQ(big.staged() - big_staged, present);

@@ -10,9 +10,12 @@
 // CostMeter's per-kind breakdown, and block-store accounting.
 //
 // Also checks that record_bundle frames on the wire leave server state and
-// downstream traffic identical to the same records sent as plain frames.
+// downstream traffic identical to the same records sent as plain frames, and
+// that the direct-call entry point (apply_record) matches pump() record for
+// record.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <sstream>
 #include <string>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "compress/lz.h"
 #include "net/transport.h"
 #include "proto/messages.h"
 #include "rsyncx/delta.h"
@@ -388,6 +392,162 @@ TEST(ServerBundleEquivalence, BundledAndShardedMatchesSerialPlain) {
   EXPECT_EQ(combined.state, plain.state);
   EXPECT_EQ(combined.wire, plain.wire);
 }
+
+/// One pump's worth of records, as (client, record) in the order pump()
+/// drains them: client by client, each client's records in send order.
+using Round = std::vector<std::pair<std::uint32_t, SyncRecord>>;
+
+SyncRecord scripted(OpKind kind, std::string path, VersionId base,
+                    VersionId next) {
+  SyncRecord record;
+  record.kind = kind;
+  record.path = std::move(path);
+  record.base_version = base;
+  record.new_version = next;
+  return record;
+}
+
+SyncRecord scripted_write(std::string path, VersionId base, VersionId next,
+                          Bytes data) {
+  SyncRecord record =
+      scripted(OpKind::write, std::move(path), base, next);
+  record.payload = proto::encode_segments({{4, std::move(data)}});
+  return record;
+}
+
+/// A scripted round that exercises every intake path — a compressed
+/// payload, a committed transactional group (buffered members plus a
+/// closer), a group that conflicts, a rename over an existing file, an
+/// unlink plus recreate — followed by seeded random rounds.
+std::vector<Round> entry_point_stream(std::uint64_t seed) {
+  Rng rng(seed);
+  Round script;
+  std::uint64_t sequence = 0;
+  const auto add = [&](std::uint32_t client, SyncRecord record) {
+    record.sequence = ++sequence;
+    script.emplace_back(client, std::move(record));
+  };
+  SyncRecord compressed = scripted(OpKind::full_file, "/e/a", {}, {1, 1});
+  compressed.payload = lz::compress(rng.text(4'000));
+  compressed.compressed = true;
+  add(1, std::move(compressed));
+  SyncRecord b = scripted(OpKind::full_file, "/e/b", {}, {1, 2});
+  b.payload = rng.bytes(1'500);
+  add(1, std::move(b));
+  SyncRecord over = scripted(OpKind::rename, "/e/a", {1, 1}, {1, 3});
+  over.path2 = "/e/b";  // replaces /e/b's content
+  add(1, std::move(over));
+  SyncRecord c = scripted(OpKind::full_file, "/e/c", {}, {1, 4});
+  c.payload = rng.bytes(900);
+  add(1, std::move(c));
+  add(1, scripted(OpKind::unlink, "/e/c", {1, 4}, {}));
+  add(1, scripted(OpKind::create, "/e/c", {}, {1, 5}));
+  add(1, scripted_write("/e/c", {1, 5}, {1, 6}, rng.bytes(64)));
+  // Client 1's group 1 commits: a buffered member, then the closer.
+  SyncRecord member = scripted(OpKind::full_file, "/e/g1", {}, {1, 7});
+  member.payload = rng.bytes(300);
+  member.txn_group = 1;
+  add(1, std::move(member));
+  SyncRecord closer = scripted_write("/e/b", {1, 3}, {1, 8}, rng.bytes(32));
+  closer.txn_group = 1;
+  closer.txn_last = true;
+  add(1, std::move(closer));
+  // Client 2's group 1 (its own keyspace) writes /e/b at the base client
+  // 1's group just replaced: the whole group conflicts.
+  SyncRecord stale_member = scripted(OpKind::full_file, "/e/g2", {}, {2, 1});
+  stale_member.payload = rng.bytes(200);
+  stale_member.txn_group = 1;
+  add(2, std::move(stale_member));
+  SyncRecord stale = scripted_write("/e/b", {1, 3}, {2, 2}, rng.bytes(16));
+  stale.txn_group = 1;
+  stale.txn_last = true;
+  add(2, std::move(stale));
+
+  std::vector<Round> rounds{std::move(script)};
+  std::vector<ClientState> clients(kClients);
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    clients[c].id = c + 1;
+    clients[c].sequence = 1'000;         // clear of the scripted sequences,
+    clients[c].version_counter = 1'000;  // versions
+    clients[c].group_counter = 1'000;    // and group ids
+  }
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    Round round;
+    for (ClientState& client : clients) {
+      for (SyncRecord& record : make_round(rng, client)) {
+        round.emplace_back(client.id, std::move(record));
+      }
+    }
+    rounds.push_back(std::move(round));
+  }
+  return rounds;
+}
+
+/// Feeds `rounds` to a fresh server: framed through pump() at `shards`
+/// lanes, or (shards == 0) through apply_record, sending each returned ack
+/// down the client's transport and charging the meter for the upstream
+/// frame and the ack exactly as pump() does.
+Observed run_entry_point(const std::vector<Round>& rounds,
+                         std::size_t shards) {
+  ServerConfig config;
+  config.apply_shards = std::max<std::size_t>(shards, 1);
+  CloudServer server(CostProfile::pc(), config);
+  std::vector<Transport> transports;
+  transports.reserve(kClients);
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    transports.emplace_back(NetProfile::pc_wan());
+  }
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    server.attach(c + 1, transports[c]);
+  }
+  std::size_t processed = 0;
+  for (const Round& round : rounds) {
+    for (const auto& [client, record] : round) {
+      Bytes frame = proto::encode(record);
+      if (shards > 0) {
+        transports[client - 1].client_send(std::move(frame));
+        continue;
+      }
+      server.meter().charge(CostKind::net_frame, frame.size());
+      server.meter().charge(CostKind::encrypt, frame.size());
+      const proto::Ack ack = server.apply_record(client, record);
+      Bytes ack_frame{1};  // server-to-client tag: ack
+      proto::encode_into(ack, ack_frame);
+      server.meter().charge(CostKind::net_frame, ack_frame.size());
+      transports[client - 1].server_send(std::move(ack_frame),
+                                         proto::MessageType::ack);
+      ++processed;
+    }
+    if (shards > 0) processed += server.pump();
+  }
+  std::vector<std::vector<Bytes>> downstream(kClients);
+  for (std::uint32_t c = 0; c < kClients; ++c) {
+    while (std::optional<Bytes> frame = transports[c].client_poll()) {
+      downstream[c].push_back(std::move(*frame));
+    }
+  }
+  return observe(server, downstream, processed);
+}
+
+class ServerEntryPointEquivalence
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ServerEntryPointEquivalence, DirectCallMatchesPump) {
+  const std::vector<Round> rounds = entry_point_stream(GetParam());
+  const Observed direct = run_entry_point(rounds, /*shards=*/0);
+  ASSERT_NE(direct.state.find("conflict /e/b.conflict-2"), std::string::npos)
+      << "the scripted group conflict must land";
+  for (const std::size_t shards : {1u, 2u}) {
+    const Observed pumped = run_entry_point(rounds, shards);
+    EXPECT_EQ(pumped.processed, direct.processed) << "shards=" << shards;
+    EXPECT_EQ(pumped.state, direct.state) << "shards=" << shards;
+    EXPECT_EQ(pumped.wire, direct.wire) << "shards=" << shards;
+    EXPECT_EQ(pumped.meter, direct.meter) << "shards=" << shards;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ServerEntryPointEquivalence,
+                         ::testing::Values(2, 11, 77));
 
 }  // namespace
 }  // namespace dcfs
