@@ -18,6 +18,7 @@ int main(int argc, char** argv) {
   using namespace dcfs::bench;
 
   const bool paper_scale = paper_scale_requested(argc, argv);
+  PaperJson json(argc, argv, "fig8");
   std::printf("=== Figure 8: network traffic on PC (MB) ===\n");
   print_scale_banner(paper_scale);
 
@@ -33,6 +34,7 @@ int main(int argc, char** argv) {
                 "Download(MB)", "TUE");
     for (const Solution solution : solutions) {
       const RunResult result = run_one(solution, trace);
+      json.add_traffic("pc", result);
       std::printf("%-12s %14s %14s %14.2f\n", result.solution.c_str(),
                   fmt_mb(result.up_bytes).c_str(),
                   fmt_mb(result.down_bytes).c_str(), result.tue);
@@ -45,5 +47,5 @@ int main(int argc, char** argv) {
       "downloads each renamed file back (stale cache); Dropbox is close to\n"
       "optimal except on the Word trace (shift vs 4 MB dedup); DeltaCFS\n"
       "matches the best case everywhere and downloads almost nothing.\n");
-  return 0;
+  return json.write() ? 0 : 1;
 }

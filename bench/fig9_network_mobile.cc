@@ -14,6 +14,7 @@ int main(int argc, char** argv) {
   using namespace dcfs::bench;
 
   const bool paper_scale = paper_scale_requested(argc, argv);
+  PaperJson json(argc, argv, "fig9");
   std::printf("=== Figure 9: network traffic on mobile (MB) ===\n");
   print_scale_banner(paper_scale);
 
@@ -27,6 +28,7 @@ int main(int argc, char** argv) {
     all.emplace_back();
     for (const TraceSet& trace : traces) {
       all.back().push_back(run_one(solution, trace));
+      json.add_traffic("mobile", all.back().back());
     }
   }
 
@@ -56,5 +58,5 @@ int main(int argc, char** argv) {
       "\nExpected shape (paper): Dropsync re-uploads whole files (1-2 orders\n"
       "of magnitude more upload than DeltaCFS); DeltaCFS mobile matches its\n"
       "PC traffic and has near-zero download.\n");
-  return 0;
+  return json.write() ? 0 : 1;
 }

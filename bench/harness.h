@@ -14,6 +14,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baselines/deltacfs_system.h"
@@ -248,6 +249,75 @@ inline std::string fmt_ticks(const RunResult& r, bool server) {
   if (!server && !r.client_measured) return "-";
   return std::to_string(server ? r.server_ticks : r.client_ticks);
 }
+
+/// --json-out=<file>: the rows behind a paper figure's printed cells, at
+/// full precision (byte counts, not rounded MB).  tools/bench_compare.py
+/// joins fig8, fig9 and table2's files into BENCH_paper.json and gates
+/// every field exactly.
+class PaperJson {
+ public:
+  PaperJson(int argc, char** argv, std::string bench)
+      : bench_(std::move(bench)) {
+    constexpr std::string_view kJsonOut = "--json-out=";
+    for (int i = 1; i < argc; ++i) {
+      const std::string_view arg(argv[i]);
+      if (arg.substr(0, kJsonOut.size()) == kJsonOut) {
+        path_ = std::string(arg.substr(kJsonOut.size()));
+      }
+    }
+  }
+
+  /// Upload and download bytes of one system x trace run.
+  void add_traffic(const char* host, const RunResult& r) {
+    add(host, r, "\"up_bytes\": " + std::to_string(r.up_bytes) +
+                     ", \"down_bytes\": " + std::to_string(r.down_bytes));
+  }
+
+  /// Client and server CPU ticks of one run; an unmeasured side is left
+  /// out, as the table prints "-" for it.
+  void add_ticks(const char* host, const RunResult& r) {
+    std::string fields;
+    if (r.client_measured) {
+      fields += "\"client_ticks\": " + std::to_string(r.client_ticks);
+    }
+    if (r.server_measured) {
+      if (!fields.empty()) fields += ", ";
+      fields += "\"server_ticks\": " + std::to_string(r.server_ticks);
+    }
+    add(host, r, fields);
+  }
+
+  /// Writes the rows when --json-out was given.  Returns false (after
+  /// reporting on stderr) when the file cannot be written.
+  [[nodiscard]] bool write() const {
+    if (path_.empty()) return true;
+    std::FILE* file = std::fopen(path_.c_str(), "w");
+    if (file == nullptr) {
+      std::fprintf(stderr, "json-out: cannot open %s\n", path_.c_str());
+      return false;
+    }
+    std::fprintf(file, "[\n");
+    for (std::size_t i = 0; i < rows_.size(); ++i) {
+      std::fprintf(file, "  %s%s\n", rows_[i].c_str(),
+                   i + 1 < rows_.size() ? "," : "");
+    }
+    std::fprintf(file, "]\n");
+    return std::fclose(file) == 0;
+  }
+
+ private:
+  void add(const char* host, const RunResult& r, const std::string& fields) {
+    std::string row = "{\"bench\": \"" + bench_ + "\", \"host\": \"" +
+                      host + "\", \"system\": \"" + r.solution +
+                      "\", \"trace\": \"" + r.trace + "\"";
+    if (!fields.empty()) row += ", " + fields;
+    rows_.push_back(row + "}");
+  }
+
+  std::string bench_;
+  std::string path_;  ///< empty = no JSON
+  std::vector<std::string> rows_;
+};
 
 inline void print_scale_banner(bool paper_scale) {
   std::printf("scale: %s (pass --paper for the paper's exact trace sizes)\n",

@@ -29,14 +29,16 @@ void print_header(const std::vector<TraceSet>& traces) {
   std::printf("\n");
 }
 
-void run_section(const char* title, const std::vector<Solution>& solutions,
-                 const std::vector<TraceSet>& traces) {
+void run_section(const char* title, const char* host,
+                 const std::vector<Solution>& solutions,
+                 const std::vector<TraceSet>& traces, PaperJson& json) {
   std::printf("\n-- %s --\n", title);
   print_header(traces);
   for (const Solution solution : solutions) {
     std::printf("%-12s", to_string(solution));
     for (const TraceSet& trace : traces) {
       const RunResult result = run_one(solution, trace);
+      json.add_ticks(host, result);
       std::printf(" | %10s %11s", fmt_ticks(result, false).c_str(),
                   fmt_ticks(result, true).c_str());
     }
@@ -48,17 +50,18 @@ void run_section(const char* title, const std::vector<Solution>& solutions,
 
 int main(int argc, char** argv) {
   const bool paper_scale = paper_scale_requested(argc, argv);
+  PaperJson json(argc, argv, "table2");
   std::printf("=== Table II: CPU usage (model ticks; 1 tick = 10 ms CPU on "
               "the profile's reference core) ===\n");
   print_scale_banner(paper_scale);
 
   const auto traces = canonical_traces(paper_scale);
-  run_section("Experiments on PC (EC2-class host)",
+  run_section("Experiments on PC (EC2-class host)", "pc",
               {Solution::dropbox, Solution::seafile, Solution::nfs,
                Solution::deltacfs},
-              traces);
-  run_section("Experiments on mobile (Note3-class host)",
-              {Solution::dropsync, Solution::deltacfs_mobile}, traces);
+              traces, json);
+  run_section("Experiments on mobile (Note3-class host)", "mobile",
+              {Solution::dropsync, Solution::deltacfs_mobile}, traces, json);
 
   std::printf(
       "\nExpected shape (paper): DeltaCFS client CPU is 1-2 orders of\n"
@@ -68,5 +71,5 @@ int main(int argc, char** argv) {
       "the lowest of the measurable systems; NFS's server cost is high on\n"
       "Word and low on WeChat.  On mobile, Dropsync is 1-2 orders above\n"
       "DeltaCFS.\n");
-  return 0;
+  return json.write() ? 0 : 1;
 }

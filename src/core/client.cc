@@ -80,10 +80,6 @@ DeltaCfsClient::DeltaCfsClient(FileSystem& local, Transport& transport,
     stats_.acks_error = &reg.counter("client.acks.error");
     stats_.forwards = &reg.counter("client.forwards.applied");
     stats_.forward_base_missing = &reg.counter("client.forward.base_missing");
-    stats_.sigcache_hits = &reg.counter("client.sigcache.hits");
-    stats_.sigcache_misses = &reg.counter("client.sigcache.misses");
-    stats_.bundle_frames = &reg.counter("net.bundle.frames");
-    stats_.bundle_records = &reg.counter("net.bundle.records");
     stats_.recon_sessions = &reg.counter("net.recon.sessions");
     stats_.recon_rounds = &reg.counter("net.recon.rounds");
     stats_.recon_saved = &reg.counter("net.recon.sig_bytes_saved");
@@ -98,9 +94,6 @@ DeltaCfsClient::DeltaCfsClient(FileSystem& local, Transport& transport,
   }
   if (config_.wire_compression) {
     wire_ = std::make_unique<wire::Codec>(config_.wire_config, obs);
-  }
-  if (config_.enable_signature_cache && config_.signature_cache_entries > 0) {
-    sigcache_ = std::make_unique<SignatureCache>(config_.signature_cache_entries);
   }
   if (config_.enable_checksums) {
     if (!checksum_kv) {
@@ -251,7 +244,6 @@ void DeltaCfsClient::note_write(std::string_view raw_path,
   if (!in_scope(path)) return;
 
   meter_.charge(CostKind::byte_copy, data.size());  // copy into Sync Queue
-  if (sigcache_) sigcache_->invalidate(path);
   if (checksums_) {
     checksums_on_write(path, offset, data, overwritten, size_before);
   }
@@ -275,7 +267,6 @@ void DeltaCfsClient::note_write(std::string_view raw_path,
   // stores per-path copies, so the increment must ship for each name.
   for (const std::string& sibling : links_.siblings(path)) {
     meter_.charge(CostKind::byte_copy, data.size());
-    if (sigcache_) sigcache_->invalidate(sibling);
     if (checksums_) checksums_->on_write(local_, sibling, offset, data.size());
     SyncNode& twin = queue_.add_write(sibling, offset, data, clock_.now());
     if (twin.new_version.is_null()) assign_versions(twin, sibling);
@@ -293,13 +284,11 @@ void DeltaCfsClient::note_truncate(std::string_view raw_path,
   (void)old_size;
   (void)cut_tail;
   if (config_.enable_undo_log) undo_.drop(path);
-  if (sigcache_) sigcache_->invalidate(path);
   if (checksums_) checksums_->on_truncate(local_, path, new_size);
   enqueue_meta(proto::OpKind::truncate, path, "", new_size);
   recently_modified_.insert(path);
   for (const std::string& sibling : links_.siblings(path)) {
     queue_.pack(sibling);
-    if (sigcache_) sigcache_->invalidate(sibling);
     if (checksums_) checksums_->on_truncate(local_, sibling, new_size);
     enqueue_meta(proto::OpKind::truncate, sibling, "", new_size);
   }
@@ -380,10 +369,6 @@ void DeltaCfsClient::note_rename(std::string_view raw_from,
   queue_.pack(to);
   undo_.rename(from, to);
   if (checksums_) checksums_->on_rename(from, to);
-  // Cached signatures follow the content to its new name.  Entries already
-  // under `to` stay: they describe immutable <path, version> facts the
-  // transactional-update trigger below looks up (the stash's version).
-  if (sigcache_) sigcache_->on_rename(from, to);
 
   if (from_in && !to_in) {
     // Moved out of the sync folder: the cloud sees a deletion.
@@ -558,7 +543,6 @@ void DeltaCfsClient::note_unlink(std::string_view raw_path) {
 
   queue_.pack(path);
   links_.detach(path);
-  if (sigcache_) sigcache_->invalidate(path);
   if (checksums_) checksums_->on_unlink(path);
   enqueue_meta(proto::OpKind::unlink, path, "", 0);
   known_versions_.erase(path);
@@ -602,24 +586,7 @@ Status DeltaCfsClient::verify_read(std::string_view raw_path,
 // Delta encoding
 // ---------------------------------------------------------------------------
 
-rsyncx::Signature DeltaCfsClient::base_signature_for(
-    const std::string& path, const proto::VersionId& base_version,
-    ByteSpan base_content) {
-  if (sigcache_ && !base_version.is_null()) {
-    const rsyncx::Signature* hit = sigcache_->get(path, base_version);
-    // Guard against bookkeeping drift: a usable entry must describe exactly
-    // these base bytes at the configured block size (a stale weak-only hit
-    // would still be *safe* — bitwise confirmation rejects false matches —
-    // but pointless).
-    if (hit != nullptr && hit->file_size == base_content.size() &&
-        hit->block_size == config_.delta_block_size && !hit->has_strong) {
-      ++sigcache_hits_;
-      obs::inc(stats_.sigcache_hits);
-      return *hit;
-    }
-    ++sigcache_misses_;
-    obs::inc(stats_.sigcache_misses);
-  }
+rsyncx::Signature DeltaCfsClient::base_signature_for(ByteSpan base_content) {
   const std::uint64_t units_before = meter_.units();
   rsyncx::Signature signature =
       par::compute_signature(pool_.get(), base_content,
@@ -631,17 +598,6 @@ rsyncx::Signature DeltaCfsClient::base_signature_for(
                                      meter_.profile()));
   }
   return signature;
-}
-
-void DeltaCfsClient::remember_signature(const std::string& path,
-                                        const proto::VersionId& version,
-                                        const rsyncx::Signature& base_signature,
-                                        const rsyncx::Delta& delta,
-                                        ByteSpan target) {
-  if (!sigcache_ || version.is_null()) return;
-  sigcache_->put(path, version,
-                 rsyncx::advance_signature(base_signature, delta, target,
-                                           &meter_));
 }
 
 void DeltaCfsClient::run_delta(const std::string& path,
@@ -677,8 +633,7 @@ void DeltaCfsClient::run_delta(const std::string& path,
   meter_.charge(CostKind::disk_read, current->size());
 
   obs::Span span(tracer_, tn_.delta);
-  const rsyncx::Signature base_signature =
-      base_signature_for(path, base_version, base_content);
+  const rsyncx::Signature base_signature = base_signature_for(base_content);
   const std::uint64_t delta_units_before = meter_.units();
   const rsyncx::Delta delta = par::compute_delta_local(
       pool_.get(), base_signature, base_content, *current, &meter_);
@@ -708,13 +663,11 @@ void DeltaCfsClient::run_delta(const std::string& path,
   delta_node.base_deleted = base_deleted;
   delta_node.new_version = next_version();
   known_versions_[path] = delta_node.new_version;
-  const proto::VersionId new_version = delta_node.new_version;
   const std::uint64_t tail_seq =
       queue_.enqueue(std::move(delta_node), clock_.now());
 
   queue_.replace_with_span(*node, tail_seq);
   ++deltas_triggered_;
-  remember_signature(path, new_version, base_signature, delta, *current);
 }
 
 void DeltaCfsClient::maybe_inplace_delta(const std::string& path) {
@@ -752,8 +705,7 @@ void DeltaCfsClient::maybe_inplace_delta(const std::string& path) {
   if (!old_version) return;
 
   obs::Span span(tracer_, tn_.delta);
-  const rsyncx::Signature base_signature =
-      base_signature_for(path, node->base_version, *old_version);
+  const rsyncx::Signature base_signature = base_signature_for(*old_version);
   const std::uint64_t delta_units_before = meter_.units();
   const rsyncx::Delta delta = par::compute_delta_local(
       pool_.get(), base_signature, *old_version, *current, &meter_);
@@ -778,12 +730,10 @@ void DeltaCfsClient::maybe_inplace_delta(const std::string& path) {
   // The delta replaces the write node: same lineage, same versions.
   delta_node.base_version = node->base_version;
   delta_node.new_version = node->new_version;
-  const proto::VersionId new_version = delta_node.new_version;
   const std::uint64_t tail_seq =
       queue_.enqueue(std::move(delta_node), clock_.now());
   queue_.replace_with_span(*node, tail_seq);
   ++deltas_triggered_;
-  remember_signature(path, new_version, base_signature, delta, *current);
 }
 
 // ---------------------------------------------------------------------------
@@ -898,7 +848,7 @@ void DeltaCfsClient::dispatch_frame(Bytes inner, std::uint64_t frame_bytes) {
     }
   } else if (tag == kFrameRecord) {
     if (Result<proto::SyncRecord> record = proto::decode_record(body)) {
-      apply_forward(*record);
+      apply_forward(std::move(*record));
     }
   } else if (tag == kFrameRecon) {
     if (Result<proto::ReconResponse> response =
@@ -987,7 +937,6 @@ void DeltaCfsClient::upload_ready(TimePoint now, bool flush_all) {
       if (group != 0) blocked_groups.insert(group);
     }
   }
-  flush_bundle();
   ship_outbox();
 }
 
@@ -1065,19 +1014,6 @@ void DeltaCfsClient::upload_node(SyncNode node, bool allow_recon) {
   ++records_uploaded_;
   if (record.trace_id != 0) tracer_->flow_start(record.trace_id);
   if (stages_ != nullptr) inflight_sent_[record.sequence] = clock_.now();
-
-  if (config_.bundle_uploads &&
-      frame.size() <= config_.bundle_record_max_bytes) {
-    // 4-byte member length prefix, per encode_bundle.
-    bundle_pending_bytes_ += frame.size() + 4;
-    if (wire_ != nullptr) wire_->recycle(std::move(frame));
-    bundle_pending_.push_back(std::move(record));
-    if (bundle_pending_bytes_ >= config_.bundle_max_bytes) flush_bundle();
-    return;
-  }
-  // A non-bundleable record must not overtake pending members on the wire:
-  // the server applies frames in arrival order.
-  flush_bundle();
   send_record_frame(std::move(frame));
 }
 
@@ -1133,32 +1069,6 @@ void DeltaCfsClient::ship_outbox() {
   }
 }
 
-void DeltaCfsClient::flush_bundle() {
-  if (bundle_pending_.empty()) return;
-  if (bundle_pending_.size() == 1) {
-    // A lone member gains nothing from the bundle envelope.
-    const proto::SyncRecord& record = bundle_pending_.front();
-    Bytes frame = frame_buffer(record.payload.size() + record.path.size() +
-                               record.path2.size() + 80);
-    proto::encode_into(record, frame);
-    send_record_frame(std::move(frame));
-  } else {
-    proto::SyncRecord bundle;
-    bundle.kind = proto::OpKind::record_bundle;
-    bundle.sequence = bundle_pending_.front().sequence;
-    bundle.payload = proto::encode_bundle(bundle_pending_);
-    ++bundle_frames_sent_;
-    bundle_records_sent_ += bundle_pending_.size();
-    obs::inc(stats_.bundle_frames);
-    obs::inc(stats_.bundle_records, bundle_pending_.size());
-    Bytes frame = frame_buffer(bundle.payload.size() + 80);
-    proto::encode_into(bundle, frame);
-    send_record_frame(std::move(frame));
-  }
-  bundle_pending_.clear();
-  bundle_pending_bytes_ = 0;
-}
-
 std::uint64_t DeltaCfsClient::next_trace_id() noexcept {
   const std::uint64_t id =
       (static_cast<std::uint64_t>(config_.client_id) << 40) | ++trace_counter_;
@@ -1201,7 +1111,6 @@ void DeltaCfsClient::start_recon(SyncNode node) {
   // Everything staged before this node (the tombstone or rename that
   // created the base we negotiate against) must reach the server ahead of
   // the first query: the server answers from its applied state.
-  flush_bundle();
   ship_outbox();
 
   if (stages_ != nullptr) {
@@ -1265,7 +1174,7 @@ void DeltaCfsClient::send_recon_query(
   if (record.trace_id != 0) tracer_->flow_start(record.trace_id);
   session.round_sent = clock_.now();
 
-  // Queries ship immediately (never bundled, never staged): the round trip
+  // Queries ship immediately (never staged): the round trip
   // is the unit of progress, so there is nothing to batch against.
   Duration wire_time = 0;
   if (wire_ != nullptr) {
@@ -1399,7 +1308,6 @@ void DeltaCfsClient::recon_fallback(ReconSession& session) {
   obs::inc(stats_.recon_fallbacks);
   session.node.payload = std::move(session.target);
   upload_node(std::move(session.node), /*allow_recon=*/false);
-  flush_bundle();
   ship_outbox();
 }
 
@@ -1471,7 +1379,6 @@ bool DeltaCfsClient::spill_snapshot(SyncNode& node, const std::string& path,
 void DeltaCfsClient::start_stream(SyncNode node) {
   // Frames staged before this node must not be overtaken by its chunks:
   // the server consumes frames in arrival order.
-  flush_bundle();
   ship_outbox();
 
   if (stages_ != nullptr) {
@@ -1607,7 +1514,7 @@ void DeltaCfsClient::send_stream_frame(const proto::SyncRecord& record) {
                              record.path2.size() + 80);
   proto::encode_into(record, frame);
   obs::observe(stats_.record_bytes, frame.size());
-  // Stream frames ship immediately (never bundled, never staged): pacing
+  // Stream frames ship immediately (never staged): pacing
   // is the credit window's job, and the server consumes frames in arrival
   // order.
   Duration wire_time = 0;
@@ -1685,20 +1592,13 @@ void DeltaCfsClient::process_ack(const proto::Ack& ack) {
   }
 }
 
-void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
-  obs::Span span(tracer_, tn_.apply_forward, kind_cat(raw_record.kind));
-  if (raw_record.trace_id != 0 && tracer_ != nullptr) {
-    tracer_->flow_end(proto::forward_flow_id(raw_record.trace_id));
+void DeltaCfsClient::apply_forward(proto::SyncRecord record) {
+  obs::Span span(tracer_, tn_.apply_forward, kind_cat(record.kind));
+  if (record.trace_id != 0 && tracer_ != nullptr) {
+    tracer_->flow_end(proto::forward_flow_id(record.trace_id));
   }
   obs::inc(stats_.forwards);
   ++forwards_applied_;
-  proto::SyncRecord record = raw_record;
-  // A forward mutates local content outside the note_* hooks: drop any
-  // signatures cached for the touched names.
-  if (sigcache_) {
-    sigcache_->invalidate(record.path);
-    if (!record.path2.empty()) sigcache_->invalidate(record.path2);
-  }
   if (record.compressed) {
     meter_.charge(CostKind::decompress, record.payload.size());
     Result<Bytes> plain = lz::decompress(record.payload);
@@ -1812,9 +1712,6 @@ void DeltaCfsClient::apply_forward(const proto::SyncRecord& raw_record) {
       known_versions_[record.path] = record.new_version;
       if (checksums_) checksums_->index_file(local_, record.path);
       break;
-    case proto::OpKind::record_bundle:
-      // The server forwards individual member records, never bundles.
-      break;
     case proto::OpKind::recon_query:
       // Queries are client->server only and are never forwarded.
       break;
@@ -1889,7 +1786,6 @@ Status DeltaCfsClient::recover_file(std::string_view path,
                                     ByteSpan cloud_content) {
   const Status written = local_.write_file(path, cloud_content);
   if (!written.is_ok()) return written;
-  if (sigcache_) sigcache_->invalidate(std::string(path));
   if (checksums_) checksums_->index_file(local_, path);
   quarantine_.erase(std::string(path));
   return Status::ok();

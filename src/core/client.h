@@ -27,7 +27,6 @@
 
 #include "core/checksum_store.h"
 #include "core/relation_table.h"
-#include "core/signature_cache.h"
 #include "core/sync_queue.h"
 #include "core/undo_log.h"
 #include "metrics/cost.h"
@@ -90,27 +89,12 @@ struct ClientConfig {
   /// counts as one lane, so 1 means strictly serial — the pre-existing code
   /// path.  Output bytes and CostMeter totals are identical at any setting.
   std::uint32_t delta_threads = 1;
-  /// Cache weak signatures of synced versions, keyed <path, VersionId>, so
-  /// chains of transactional updates skip the base signature pass.
-  bool enable_signature_cache = true;
-  std::size_t signature_cache_entries = 64;
-  /// Bundle several small matured records into one wire frame
-  /// (OpKind::record_bundle), amortizing the per-frame overhead on chatty
-  /// metadata-heavy workloads.  The server unpacks and acks each member
-  /// individually; wire order is preserved.  Off by default so existing
-  /// traffic accounting is unchanged unless opted in.
-  bool bundle_uploads = false;
-  /// Flush the pending bundle once its payload reaches this size.
-  std::uint64_t bundle_max_bytes = 60 * 1024;
-  /// Records encoding larger than this ship as their own frame (bundling
-  /// only pays for small records).
-  std::uint64_t bundle_record_max_bytes = 4096;
   /// Adaptive wire compression (dcfs::wire): every frame gains a 1-byte
   /// raw|lz header; compressible frames ship as lz streams, incompressible
   /// or tiny frames ship raw (detected by a sampled-entropy probe and a
   /// size floor).  Traffic meters and NetProfile wire time then see
   /// post-compression bytes.  Must match the server's
-  /// ServerConfig::wire_compression (a framing contract, like bundling).
+  /// ServerConfig::wire_compression (a framing contract).
   /// Off by default so existing byte-exact accounting is unchanged.
   bool wire_compression = false;
   /// Tuning for the wire codec (floor / probe), used when
@@ -236,23 +220,13 @@ class DeltaCfsClient final : public OpSink {
   [[nodiscard]] par::WorkerPool* delta_pool() noexcept { return pool_.get(); }
   /// Null unless ClientConfig::wire_compression.
   [[nodiscard]] wire::Codec* wire_codec() noexcept { return wire_.get(); }
-  /// Null when the signature cache is disabled.
-  [[nodiscard]] SignatureCache* signature_cache() noexcept {
-    return sigcache_.get();
-  }
+  /// The client keeps no signature cache; both always return 0.  They stay
+  /// only because wallbench's `core.sigcache_hit_ratio` still reads them.
   [[nodiscard]] std::uint64_t signature_cache_hits() const noexcept {
-    return sigcache_hits_;
+    return 0;
   }
   [[nodiscard]] std::uint64_t signature_cache_misses() const noexcept {
-    return sigcache_misses_;
-  }
-  /// Bundle frames sent / records shipped inside them (0 unless
-  /// ClientConfig::bundle_uploads).
-  [[nodiscard]] std::uint64_t bundle_frames_sent() const noexcept {
-    return bundle_frames_sent_;
-  }
-  [[nodiscard]] std::uint64_t bundle_records_sent() const noexcept {
-    return bundle_records_sent_;
+    return 0;
   }
   /// Reconciliation sessions still awaiting a server answer.  While any is
   /// in flight the Sync Queue is not popped (a later node for the same
@@ -345,19 +319,9 @@ class DeltaCfsClient final : public OpSink {
                  bool base_deleted, const std::string& write_node_path,
                  std::uint64_t trigger_rename_seq);
 
-  /// Base signature for a local delta: served from the SignatureCache when
-  /// a valid entry for <path, base_version> exists, computed (in parallel
-  /// when a pool is configured) otherwise.
-  rsyncx::Signature base_signature_for(const std::string& path,
-                                       const proto::VersionId& base_version,
-                                       ByteSpan base_content);
-
-  /// After a delta replaced a write node: caches the *target's* signature
-  /// under <path, version>, derived from the base signature + delta.
-  void remember_signature(const std::string& path,
-                          const proto::VersionId& version,
-                          const rsyncx::Signature& base_signature,
-                          const rsyncx::Delta& delta, ByteSpan target);
+  /// Weak-only signature of a local delta's base, computed in parallel
+  /// when a pool is configured.
+  rsyncx::Signature base_signature_for(ByteSpan base_content);
 
   /// Relation-table trigger processing for a name that just (re)appeared.
   void handle_created_name(const std::string& path);
@@ -473,13 +437,10 @@ class DeltaCfsClient final : public OpSink {
   void finish_recon(ReconSession& session);
   /// Server refused (or the answer was unusable): upload the full content.
   void recon_fallback(ReconSession& session);
-  /// Charges frame costs and ships one encoded record (or bundle) frame.
+  /// Charges frame costs and ships one encoded record frame.
   /// With wire compression on, the frame is staged in the outbox instead
   /// and ships (batch-encoded) in ship_outbox().
   void send_record_frame(Bytes frame);
-  /// Ships the pending bundle: one member goes out as a plain record
-  /// frame, several as a record_bundle frame.
-  void flush_bundle();
   /// Wire-encodes staged frames (on the delta pool when configured — the
   /// codec slots results by index, so output bytes are identical at any
   /// thread count), charges the meter in frame order, and sends.
@@ -490,7 +451,7 @@ class DeltaCfsClient final : public OpSink {
   /// task): ack / forwarded record / recon answer / stream credit.
   void dispatch_frame(Bytes inner, std::uint64_t frame_bytes);
   void process_ack(const proto::Ack& ack);
-  void apply_forward(const proto::SyncRecord& record);
+  void apply_forward(proto::SyncRecord record);
 
   /// Verifies pre-write block integrity using the captured old bytes, then
   /// refreshes the touched checksums.
@@ -546,10 +507,6 @@ class DeltaCfsClient final : public OpSink {
     obs::Counter* acks_error = nullptr;
     obs::Counter* forwards = nullptr;
     obs::Counter* forward_base_missing = nullptr;
-    obs::Counter* sigcache_hits = nullptr;
-    obs::Counter* sigcache_misses = nullptr;
-    obs::Counter* bundle_frames = nullptr;
-    obs::Counter* bundle_records = nullptr;
     obs::Counter* recon_sessions = nullptr;
     obs::Counter* recon_rounds = nullptr;
     obs::Counter* recon_saved = nullptr;
@@ -566,9 +523,6 @@ class DeltaCfsClient final : public OpSink {
   /// Frames staged for the wire codec within the current upload batch;
   /// always drained by ship_outbox() before the batch returns.
   std::vector<Bytes> outbox_;
-  std::unique_ptr<SignatureCache> sigcache_;
-  std::uint64_t sigcache_hits_ = 0;
-  std::uint64_t sigcache_misses_ = 0;
   std::unique_ptr<ChecksumStore> checksums_;
 
   std::uint64_t version_counter_ = 0;
@@ -615,13 +569,6 @@ class DeltaCfsClient final : public OpSink {
   std::set<std::string> recently_modified_;
   std::set<std::string> quarantine_;
   std::vector<std::string> detected_corruption_;
-
-  /// Matured small records awaiting their bundle frame; never outlives the
-  /// tick that filled it (flush_bundle runs after every upload batch).
-  std::vector<proto::SyncRecord> bundle_pending_;
-  std::uint64_t bundle_pending_bytes_ = 0;
-  std::uint64_t bundle_frames_sent_ = 0;
-  std::uint64_t bundle_records_sent_ = 0;
 
   /// In-flight reconciliation sessions by id.  At most a handful exist at
   /// once (queue pops pause while any is in flight).

@@ -50,8 +50,7 @@ rsyncx::Delta compute_delta_local(WorkerPool* pool, ByteSpan base,
                                   ByteSpan target, std::uint32_t block_size,
                                   CostMeter* meter);
 
-/// Parallel local-mode delta with the base signature already in hand
-/// (e.g. a SignatureCache hit).
+/// Parallel local-mode delta with the base signature already in hand.
 rsyncx::Delta compute_delta_local(WorkerPool* pool,
                                   const rsyncx::Signature& base_signature,
                                   ByteSpan base, ByteSpan target,

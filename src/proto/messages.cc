@@ -5,6 +5,9 @@
 namespace dcfs::proto {
 namespace {
 
+/// Reserved (the retired record bundle): no OpKind may take this value.
+constexpr std::uint8_t kRetiredBundleKind = 11;
+
 void put_string(Bytes& out, std::string_view s) {
   put_u32(out, static_cast<std::uint32_t>(s.size()));
   append(out, ByteSpan{reinterpret_cast<const std::uint8_t*>(s.data()),
@@ -104,7 +107,6 @@ std::string_view to_string(OpKind kind) {
     case OpKind::write: return "write";
     case OpKind::file_delta: return "file_delta";
     case OpKind::full_file: return "full_file";
-    case OpKind::record_bundle: return "record_bundle";
     case OpKind::recon_query: return "recon_query";
     case OpKind::stream_open: return "stream_open";
     case OpKind::stream_chunk: return "stream_chunk";
@@ -149,7 +151,13 @@ Result<SyncRecord> decode_record(ByteSpan wire) {
   if (wire.size() < 9) return Status{Errc::corruption, "record too short"};
   record.sequence = get_u64(wire, pos);
   pos += 8;
-  record.kind = static_cast<OpKind>(wire[pos++]);
+  const std::uint8_t kind = wire[pos++];
+  if (kind < static_cast<std::uint8_t>(OpKind::create) ||
+      kind > static_cast<std::uint8_t>(OpKind::stream_commit) ||
+      kind == kRetiredBundleKind) {
+    return Status{Errc::corruption, "record kind unknown"};
+  }
+  record.kind = static_cast<OpKind>(kind);
   if (!get_string(wire, pos, record.path) ||
       !get_string(wire, pos, record.path2)) {
     return Status{Errc::corruption, "record paths truncated"};
@@ -208,56 +216,6 @@ Result<Ack> decode_ack(ByteSpan wire) {
   }
   ack.trace_id = get_u64(wire, pos);
   return ack;
-}
-
-Bytes encode_bundle(const std::vector<SyncRecord>& records) {
-  Bytes wire;
-  put_u32(wire, static_cast<std::uint32_t>(records.size()));
-  for (const SyncRecord& record : records) {
-    const Bytes encoded = encode(record);
-    put_u32(wire, static_cast<std::uint32_t>(encoded.size()));
-    append(wire, encoded);
-  }
-  return wire;
-}
-
-Result<std::vector<SyncRecord>> decode_bundle(ByteSpan wire) {
-  if (wire.size() < 4) return Status{Errc::corruption, "bundle too short"};
-  const std::uint32_t count = get_u32(wire, 0);
-  std::size_t pos = 4;
-  // Every member record encodes to >= 60 bytes plus its length prefix.
-  if (count > wire.size() / 64 + 1) {
-    return Status{Errc::corruption, "bundle count implausible"};
-  }
-  std::vector<SyncRecord> records;
-  records.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (pos + 4 > wire.size()) {
-      return Status{Errc::corruption, "bundle member header truncated"};
-    }
-    const std::uint32_t length = get_u32(wire, pos);
-    pos += 4;
-    if (pos + length > wire.size()) {
-      return Status{Errc::corruption, "bundle member truncated"};
-    }
-    Result<SyncRecord> record =
-        decode_record(ByteSpan{wire.data() + pos, length});
-    if (!record) return record.status();
-    if (record->kind == OpKind::record_bundle) {
-      return Status{Errc::corruption, "nested bundle"};
-    }
-    if (record->kind == OpKind::recon_query) {
-      return Status{Errc::corruption, "recon query inside bundle"};
-    }
-    if (record->kind == OpKind::stream_open ||
-        record->kind == OpKind::stream_chunk ||
-        record->kind == OpKind::stream_commit) {
-      return Status{Errc::corruption, "stream record inside bundle"};
-    }
-    records.push_back(std::move(*record));
-    pos += length;
-  }
-  return records;
 }
 
 Bytes encode(const StreamCredit& credit) {

@@ -73,20 +73,17 @@ enum class OpKind : std::uint8_t {
   write,        ///< payload at `offset` (NFS-like file RPC)
   file_delta,   ///< payload = encoded rsyncx::Delta against base_version
   full_file,    ///< payload = entire content (bootstrap / recovery)
-  /// Payload = several encoded SyncRecords (encode_bundle).  Amortizes the
-  /// per-frame overhead on chatty uploads of small records; the server
-  /// unpacks and acks every member individually.  Bundles never nest.
-  record_bundle,
+  // 11 is reserved and never decodes, so the kinds below keep their wire
+  // values.
   /// Payload = encoded ReconRequest: one round of the recursive
   /// reconciliation exchange (rsyncx/recon.h).  Not a mutation — the
-  /// server answers with a ReconResponse frame instead of an Ack, and
-  /// recon queries never ride inside bundles.
-  recon_query,
+  /// server answers with a ReconResponse frame instead of an Ack.
+  recon_query = 12,
   /// Opens a bounded-window chunk stream for one large full-content upload
   /// (docs/PROTOCOL.md §chunk streams).  `sequence` is the stream id,
   /// `size` the total byte count, `offset` the sender's window so the
-  /// server can pace its credit grants.  Stream records never ride inside
-  /// bundles, are never forwarded, and only the commit is acked.
+  /// server can pace its credit grants.  Stream records are never
+  /// forwarded, and only the commit is acked.
   stream_open,
   /// One chunk of an open stream: `sequence` = stream id, `offset` = byte
   /// position, `size` = 0-based chunk ordinal, payload = the bytes.
@@ -181,12 +178,6 @@ Result<Ack> decode_ack(ByteSpan wire);
 /// instead of allocating; encode() wraps these.
 void encode_into(const SyncRecord& record, Bytes& out);
 void encode_into(const Ack& ack, Bytes& out);
-
-/// Payload of an OpKind::record_bundle record: count + length-prefixed
-/// encoded member records.  Members keep their own sequence numbers (each
-/// is acked individually) and their own compression flags.
-Bytes encode_bundle(const std::vector<SyncRecord>& records);
-Result<std::vector<SyncRecord>> decode_bundle(ByteSpan wire);
 
 /// Downstream flow-control grant for one chunk stream (frame tag 0x04,
 /// docs/PROTOCOL.md §chunk streams).  The server returns `bytes` of window

@@ -77,80 +77,6 @@ Delta compute_delta_local(const Signature& base_signature, ByteSpan base,
                               detail::bitwise_confirm(base_signature, base));
 }
 
-Signature advance_signature(const Signature& base_signature,
-                            const Delta& delta, ByteSpan target,
-                            CostMeter* meter) {
-  Signature signature;
-  signature.block_size = base_signature.block_size;
-  signature.file_size = target.size();
-  signature.has_strong = base_signature.has_strong;
-  const std::uint32_t block_size = signature.block_size;
-  const std::size_t blocks = target.size() / block_size +
-                             (target.size() % block_size != 0 ? 1 : 0);
-  signature.weak.reserve(blocks);
-  if (signature.has_strong) signature.strong.reserve(blocks);
-
-  // Copy segments in target-offset order (commands reconstruct the target
-  // front to back, so target offsets are monotone).
-  struct Segment {
-    std::uint64_t target_offset;
-    std::uint64_t src_offset;
-    std::uint64_t length;
-  };
-  std::vector<Segment> segments;
-  segments.reserve(delta.commands.size());
-  std::uint64_t offset = 0;
-  for (const Command& cmd : delta.commands) {
-    if (cmd.kind == Command::Kind::copy) {
-      segments.push_back({offset, cmd.src_offset, cmd.length});
-      offset += cmd.length;
-    } else {
-      offset += cmd.data.size();
-    }
-  }
-
-  std::size_t seg = 0;
-  for (std::size_t block = 0; block < blocks; ++block) {
-    const std::uint64_t start =
-        static_cast<std::uint64_t>(block) * block_size;
-    const std::uint32_t length = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(block_size, target.size() - start));
-    while (seg < segments.size() &&
-           segments[seg].target_offset + segments[seg].length <= start) {
-      ++seg;
-    }
-    bool reused = false;
-    if (seg < segments.size() && segments[seg].target_offset <= start &&
-        start + length <= segments[seg].target_offset + segments[seg].length) {
-      // The whole block comes from one copy; reuse the base block's
-      // checksums when the copy is block-aligned and the lengths agree
-      // (the copy guarantees the bytes are identical).
-      const std::uint64_t src =
-          segments[seg].src_offset + (start - segments[seg].target_offset);
-      const std::uint64_t src_block = src / block_size;
-      if (src % block_size == 0 &&
-          src_block < base_signature.block_count() &&
-          base_signature.block_length(src_block) == length) {
-        signature.weak.push_back(base_signature.weak[src_block]);
-        if (signature.has_strong) {
-          signature.strong.push_back(base_signature.strong[src_block]);
-        }
-        reused = true;
-      }
-    }
-    if (!reused) {
-      const ByteSpan bytes = target.subspan(start, length);
-      charge(meter, CostKind::rolling_hash, length);
-      signature.weak.push_back(weak_checksum(bytes));
-      if (signature.has_strong) {
-        charge(meter, CostKind::strong_hash, length);
-        signature.strong.push_back(Md5::hash(bytes));
-      }
-    }
-  }
-  return signature;
-}
-
 Result<Bytes> apply_delta(ByteSpan base, const Delta& delta) {
   // Validate the patch before allocating anything: every copy must lie
   // within the base, and the command sizes must add up to target_size

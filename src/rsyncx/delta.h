@@ -90,21 +90,10 @@ Delta compute_delta(const Signature& base_signature, ByteSpan target,
 Delta compute_delta_local(ByteSpan base, ByteSpan target,
                           std::uint32_t block_size, CostMeter* meter);
 
-/// Local mode with the base's (weak) signature already in hand — e.g. from
-/// a SignatureCache hit; only the matching pass is charged.
+/// Local mode with the base's (weak) signature already in hand; only the
+/// matching pass is charged.
 Delta compute_delta_local(const Signature& base_signature, ByteSpan base,
                           ByteSpan target, CostMeter* meter);
-
-/// Rolls a signature forward across a delta: target blocks that a
-/// block-aligned copy maps verbatim onto a base block inherit that block's
-/// checksums; only the remaining blocks are recomputed (and charged).  Lets
-/// a SignatureCache follow a chain of versions without ever re-hashing the
-/// unchanged bulk of the file.
-/// Precondition: `delta` was computed against the base that
-/// `base_signature` describes, and `target` is apply_delta(base, delta).
-Signature advance_signature(const Signature& base_signature,
-                            const Delta& delta, ByteSpan target,
-                            CostMeter* meter);
 
 /// Reconstructs the target from `base` + `delta`.
 /// Fails with corruption if a copy range exceeds the base.

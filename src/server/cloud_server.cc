@@ -88,15 +88,6 @@ Result<proto::SyncRecord> CloudServer::decode_frame(Bytes frame) {
   return record;
 }
 
-Result<std::vector<proto::SyncRecord>> CloudServer::unpack_bundle(
-    const proto::SyncRecord& record) {
-  if (!record.compressed) return proto::decode_bundle(record.payload);
-  meter_.charge(CostKind::decompress, record.payload.size());
-  Result<Bytes> plain = lz::decompress(record.payload);
-  if (!plain) return plain.status();
-  return proto::decode_bundle(*plain);
-}
-
 std::size_t CloudServer::pump() {
   std::vector<PumpItem> batch;
   std::size_t processed = 0;
@@ -140,18 +131,6 @@ std::size_t CloudServer::pump() {
         }
         continue;
       }
-      if (record->kind == proto::OpKind::record_bundle) {
-        Result<std::vector<proto::SyncRecord>> members = unpack_bundle(*record);
-        if (!members) {
-          reject(client_id, ack_for(*record, Errc::corruption));
-          continue;
-        }
-        for (proto::SyncRecord& member : *members) {
-          submit(batch, intake(client_id, std::move(member)));
-          ++processed;
-        }
-        continue;
-      }
       submit(batch, intake(client_id, std::move(*record)));
       ++processed;
     }
@@ -177,12 +156,6 @@ CloudServer::PumpItem CloudServer::intake(std::uint32_t client,
   item.op = record.kind;
   item.applied = true;
   item.trace_id = record.trace_id;
-  if (record.kind == proto::OpKind::record_bundle) {
-    // Bundles are unpacked by pump(); one reaching intake directly (or
-    // nested in another bundle) is a protocol violation.
-    item.ack = ack_for(record, Errc::corruption);
-    return item;
-  }
   if (record.compressed) {
     const std::uint64_t units_before = meter_.units();
     meter_.charge(CostKind::decompress, record.payload.size());
@@ -475,10 +448,6 @@ proto::Ack CloudServer::apply_one(const proto::SyncRecord& record,
   const bool staged = snapshot != nullptr;
 
   switch (record.kind) {
-    case proto::OpKind::record_bundle:
-      ack.result = Errc::corruption;  // bundles never reach the apply layer
-      break;
-
     case proto::OpKind::recon_query:
       // Queries are intercepted by pump() (answered, never applied); one
       // reaching here bypassed framing — reject it.

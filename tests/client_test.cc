@@ -1,10 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 
 #include "baselines/deltacfs_system.h"
 #include "common/rng.h"
+#include "rsyncx/delta.h"
 
 namespace dcfs {
 namespace {
@@ -100,6 +100,35 @@ TEST_F(ClientTest, WordTransactionalUpdateUsesDelta) {
   const std::uint64_t used = system_.traffic().up_bytes() - traffic_before;
   EXPECT_LT(used, 20'000u);
   EXPECT_EQ(system_.client().conflicts_acked(), 0u);
+}
+
+TEST_F(ClientTest, WordSaveHashesOnlyTheLocalDelta) {
+  // A save's only weak-checksum work is the local delta itself: one pass
+  // over the base for its signature, one rolling scan of the target.
+  Rng rng(4);
+  const Bytes base = rng.bytes(200'000);
+  write_file("/sync/doc", base);
+  drain();
+  Bytes target = base;
+  target.insert(target.begin() + 100'000, 42);
+  const std::uint64_t hashed_before =
+      system_.client().meter().units_for(CostKind::rolling_hash);
+
+  // Word save: rename to the backup, write a temp file, rename it over.
+  ASSERT_TRUE(system_.fs().rename("/sync/doc", "/sync/doc.bak").is_ok());
+  write_file("/sync/doc.tmp", target);
+  ASSERT_TRUE(system_.fs().rename("/sync/doc.tmp", "/sync/doc").is_ok());
+  drain();
+  ASSERT_EQ(system_.client().deltas_triggered(), 1u);
+  EXPECT_EQ(cloud("/sync/doc"), target);
+
+  CostMeter direct(CostProfile::pc());
+  (void)rsyncx::compute_delta_local(base, target,
+                                    system_.client().config().delta_block_size,
+                                    &direct);
+  EXPECT_EQ(system_.client().meter().units_for(CostKind::rolling_hash) -
+                hashed_before,
+            direct.units_for(CostKind::rolling_hash));
 }
 
 TEST_F(ClientTest, GeditLinkRenameFlowUsesDelta) {
@@ -243,51 +272,6 @@ TEST_F(ClientTest, VersionsAdvancePerUpdate) {
   EXPECT_NE(*v1, *v2);
   EXPECT_EQ(v2->client_id, 1u);
   EXPECT_GT(v2->counter, v1->counter);
-}
-
-TEST(ClientBundleTest, BundlingCutsFramesWithoutChangingState) {
-  // Two identical chatty workloads; one client bundles small records.
-  // The bundled run must ship strictly fewer upstream frames and leave
-  // the cloud in the identical state.
-  auto run = [](bool bundle) {
-    VirtualClock clock;
-    ClientConfig config;
-    config.bundle_uploads = bundle;
-    DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
-                          config);
-    system.fs().mkdir("/sync");
-    for (int i = 0; i < 20; ++i) {
-      const std::string path = "/sync/small" + std::to_string(i);
-      EXPECT_TRUE(
-          system.fs()
-              .write_file(path, to_bytes("note " + std::to_string(i)))
-              .is_ok());
-    }
-    for (Duration t = 0; t < seconds(15); t += milliseconds(200)) {
-      clock.advance(milliseconds(200));
-      system.tick(clock.now());
-    }
-    system.finish(clock.now());
-    std::string state;
-    for (const std::string& path : system.server().paths()) {
-      Result<Bytes> content = system.server().fetch(path);
-      state += path + "=" + std::string(as_text(*content)) + ";";
-    }
-    return std::tuple(state, system.traffic().up_messages(),
-                      system.client().bundle_frames_sent(),
-                      system.client().bundle_records_sent());
-  };
-
-  const auto [plain_state, plain_frames, plain_bundles, plain_members] =
-      run(false);
-  const auto [bundled_state, bundled_frames, bundled_bundles,
-              bundled_members] = run(true);
-  EXPECT_EQ(bundled_state, plain_state);
-  EXPECT_LT(bundled_frames, plain_frames);
-  EXPECT_EQ(plain_bundles, 0u);
-  EXPECT_GE(bundled_bundles, 1u);
-  // Every bundle carried at least two members (singletons go out plain).
-  EXPECT_GE(bundled_members, 2 * bundled_bundles);
 }
 
 TEST_F(ClientTest, CausalOrderPreservedDespiteDeletion) {

@@ -118,7 +118,6 @@ TEST(LockOrderTest, WorkloadObeysDeclaredOrderAndExportsDot) {
     config.client_id = 1;
     config.delta_threads = 2;
     config.wire_compression = true;
-    config.bundle_uploads = true;
     ServerConfig server_config;
     server_config.apply_shards = 2;
     server_config.wire_compression = true;

@@ -428,50 +428,6 @@ TEST(WeakIndexTest, CandidatesEqualBruteForce) {
   }
 }
 
-TEST(AdvanceSignatureTest, MatchesRecomputedSignatureOfTarget) {
-  const std::uint32_t bs = 512;
-  for (const Case& c : make_cases(bs)) {
-    for (const bool with_strong : {false, true}) {
-      const rsyncx::Signature base_sig =
-          rsyncx::compute_signature(c.base, bs, with_strong, nullptr);
-      const rsyncx::Delta delta = with_strong
-          ? rsyncx::compute_delta(base_sig, c.target, nullptr)
-          : rsyncx::compute_delta_local(c.base, c.target, bs, nullptr);
-      CostMeter meter(CostProfile::pc());
-      const rsyncx::Signature advanced =
-          rsyncx::advance_signature(base_sig, delta, c.target, &meter);
-      const rsyncx::Signature want =
-          rsyncx::compute_signature(c.target, bs, with_strong, nullptr);
-      const std::string label = c.name + " strong=" +
-                                std::to_string(with_strong);
-      EXPECT_EQ(advanced.file_size, want.file_size) << label;
-      EXPECT_EQ(advanced.weak, want.weak) << label;
-      EXPECT_EQ(advanced.strong, want.strong) << label;
-    }
-  }
-}
-
-TEST(AdvanceSignatureTest, ReusedBlocksAreNotRecharged) {
-  const std::uint32_t bs = 512;
-  Rng rng(9);
-  const Bytes base = rng.bytes(400 * bs);
-  Bytes target = base;
-  target[17] ^= 1;  // only the first block changes
-
-  const rsyncx::Signature base_sig =
-      rsyncx::compute_signature(base, bs, /*with_strong=*/false, nullptr);
-  const rsyncx::Delta delta =
-      rsyncx::compute_delta_local(base, target, bs, nullptr);
-
-  CostMeter advance_meter(CostProfile::pc());
-  rsyncx::advance_signature(base_sig, delta, target, &advance_meter);
-  CostMeter full_meter(CostProfile::pc());
-  rsyncx::compute_signature(target, bs, /*with_strong=*/false, &full_meter);
-  // Advancing re-hashes only the rewritten prefix, a small fraction of the
-  // full pass.
-  EXPECT_LT(advance_meter.units() * 10, full_meter.units());
-}
-
 TEST(ChecksumStoreBulkTest, BulkIndexMatchesSerialStateAndCharges) {
   VirtualClock clock;
   MemFs fs(clock);

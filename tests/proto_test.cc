@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <utility>
+
 #include "common/rng.h"
 #include "proto/messages.h"
 
@@ -159,47 +163,59 @@ TEST(ProtoTest, OpKindNames) {
   EXPECT_EQ(to_string(OpKind::write), "write");
   EXPECT_EQ(to_string(OpKind::file_delta), "file_delta");
   EXPECT_EQ(to_string(OpKind::rename), "rename");
-  EXPECT_EQ(to_string(OpKind::record_bundle), "record_bundle");
+  EXPECT_EQ(to_string(OpKind::recon_query), "recon_query");
 }
 
-TEST(ProtoTest, BundleRoundTrip) {
-  std::vector<SyncRecord> members;
-  members.push_back(sample_record());
-  SyncRecord small;
-  small.sequence = 43;
-  small.kind = OpKind::create;
-  small.path = "/sync/new";
-  small.new_version = {2, 1};
-  members.push_back(small);
-  Result<std::vector<SyncRecord>> decoded =
-      decode_bundle(encode_bundle(members));
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_EQ(*decoded, members);
-}
+constexpr std::array<std::pair<OpKind, std::uint8_t>, 14> kWireKinds{{
+    {OpKind::create, 1},
+    {OpKind::mkdir, 2},
+    {OpKind::rmdir, 3},
+    {OpKind::unlink, 4},
+    {OpKind::rename, 5},
+    {OpKind::link, 6},
+    {OpKind::truncate, 7},
+    {OpKind::write, 8},
+    {OpKind::file_delta, 9},
+    {OpKind::full_file, 10},
+    {OpKind::recon_query, 12},
+    {OpKind::stream_open, 13},
+    {OpKind::stream_chunk, 14},
+    {OpKind::stream_commit, 15},
+}};
 
-TEST(ProtoTest, EmptyBundleRoundTrips) {
-  Result<std::vector<SyncRecord>> decoded = decode_bundle(encode_bundle({}));
-  ASSERT_TRUE(decoded.is_ok());
-  EXPECT_TRUE(decoded->empty());
-}
-
-TEST(ProtoTest, NestedBundleRejected) {
-  SyncRecord inner;
-  inner.kind = OpKind::create;
-  inner.path = "/f";
-  SyncRecord nested;
-  nested.kind = OpKind::record_bundle;
-  nested.path = "/bundle";
-  nested.payload = encode_bundle({inner});
-  EXPECT_FALSE(decode_bundle(encode_bundle({nested})).is_ok());
-}
-
-TEST(ProtoTest, TruncatedBundleFails) {
-  const Bytes wire = encode_bundle({sample_record(), sample_record()});
-  for (std::size_t cut = 0; cut < wire.size(); cut += 7) {
-    EXPECT_FALSE(decode_bundle(ByteSpan{wire.data(), cut}).is_ok())
-        << "prefix length " << cut;
+TEST(ProtoTest, OpKindWireValuesArePinned) {
+  // 11 (the retired record bundle) stays reserved, so later kinds keep
+  // their wire values.
+  for (const auto& [kind, value] : kWireKinds) {
+    EXPECT_EQ(static_cast<std::uint8_t>(kind), value) << to_string(kind);
+    SyncRecord record = sample_record();
+    record.kind = kind;
+    Result<SyncRecord> decoded = decode_record(encode(record));
+    ASSERT_TRUE(decoded.is_ok()) << to_string(kind);
+    EXPECT_EQ(decoded->kind, kind);
   }
+}
+
+TEST(ProtoTest, UnknownRecordKindFailsToDecode) {
+  const Bytes valid = encode(sample_record());
+  constexpr std::size_t kKindOffset = 8;  // after the u64 sequence
+  ASSERT_EQ(valid[kKindOffset],
+            static_cast<std::uint8_t>(OpKind::file_delta));
+  std::size_t rejected = 0;
+  for (unsigned value = 0; value <= 0xff; ++value) {
+    const bool known = std::any_of(
+        kWireKinds.begin(), kWireKinds.end(),
+        [&](const auto& wire_kind) { return wire_kind.second == value; });
+    if (known) continue;
+    Bytes wire = valid;
+    wire[kKindOffset] = static_cast<std::uint8_t>(value);
+    const Result<SyncRecord> decoded = decode_record(wire);
+    ASSERT_FALSE(decoded.is_ok()) << "kind byte " << value;
+    EXPECT_EQ(decoded.status().code(), Errc::corruption)
+        << "kind byte " << value;
+    ++rejected;
+  }
+  EXPECT_EQ(rejected, 256u - kWireKinds.size());  // 0, 11 and 16..255
 }
 
 }  // namespace

@@ -9,10 +9,8 @@
 // order, per-client downstream frame sequences (acks and forwards), the
 // CostMeter's per-kind breakdown, and block-store accounting.
 //
-// Also checks that record_bundle frames on the wire leave server state and
-// downstream traffic identical to the same records sent as plain frames, and
-// that the direct-call entry point (apply_record) matches pump() record for
-// record.
+// Also checks that the direct-call entry point (apply_record) matches
+// pump() record for record.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -278,12 +276,10 @@ Observed observe(const CloudServer& server,
 }
 
 /// Runs the seeded scenario against a server with `shards` apply lanes.
-/// With `bundle`, each round's small records ride one record_bundle frame
-/// per client instead of individual frames.  `prefill` unrelated files,
-/// each with history, are applied first (a namespace the stream never
-/// touches).
+/// `prefill` unrelated files, each with history, are applied first (a
+/// namespace the stream never touches).
 Observed run_scenario(std::uint64_t seed, std::size_t shards,
-                      bool bundle = false, std::size_t prefill = 0) {
+                      std::size_t prefill = 0) {
   ServerConfig config;
   config.apply_shards = shards;
   CloudServer server(CostProfile::pc(), config);
@@ -315,17 +311,8 @@ Observed run_scenario(std::uint64_t seed, std::size_t shards,
   std::size_t processed = 0;
   for (std::size_t round = 0; round < kRounds; ++round) {
     for (std::uint32_t c = 0; c < kClients; ++c) {
-      const std::vector<SyncRecord> records = make_round(rng, clients[c]);
-      if (bundle) {
-        SyncRecord frame;
-        frame.kind = OpKind::record_bundle;
-        frame.sequence = records.front().sequence;
-        frame.payload = proto::encode_bundle(records);
-        transports[c].client_send(proto::encode(frame));
-      } else {
-        for (const SyncRecord& record : records) {
-          transports[c].client_send(proto::encode(record));
-        }
+      for (const SyncRecord& record : make_round(rng, clients[c])) {
+        transports[c].client_send(proto::encode(record));
       }
     }
     processed += server.pump();
@@ -360,9 +347,9 @@ TEST_P(ServerParallelEquivalence, PrefilledNamespaceMatchesSerial) {
   // Groups stage only their touched entries in both pumps, so a large
   // namespace the stream never touches changes nothing but its own dump.
   const std::uint64_t seed = GetParam();
-  const Observed serial = run_scenario(seed, 1, false, /*prefill=*/500);
+  const Observed serial = run_scenario(seed, 1, /*prefill=*/500);
   for (const std::size_t shards : {2u, 4u}) {
-    const Observed parallel = run_scenario(seed, shards, false, 500);
+    const Observed parallel = run_scenario(seed, shards, 500);
     EXPECT_EQ(parallel.processed, serial.processed) << "shards=" << shards;
     EXPECT_EQ(parallel.state, serial.state) << "shards=" << shards;
     EXPECT_EQ(parallel.wire, serial.wire) << "shards=" << shards;
@@ -372,26 +359,6 @@ TEST_P(ServerParallelEquivalence, PrefilledNamespaceMatchesSerial) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ServerParallelEquivalence,
                          ::testing::Values(1, 7, 42, 1234));
-
-TEST(ServerBundleEquivalence, BundledWireMatchesPlainWire) {
-  // Bundling changes upstream framing only: server state and the full
-  // downstream frame sequence (per-member acks, forwards) are identical.
-  for (const std::uint64_t seed : {3ull, 99ull}) {
-    const Observed plain = run_scenario(seed, 1, /*bundle=*/false);
-    const Observed bundled = run_scenario(seed, 1, /*bundle=*/true);
-    EXPECT_EQ(bundled.processed, plain.processed);
-    EXPECT_EQ(bundled.state, plain.state);
-    EXPECT_EQ(bundled.wire, plain.wire);
-  }
-}
-
-TEST(ServerBundleEquivalence, BundledAndShardedMatchesSerialPlain) {
-  const Observed plain = run_scenario(5, 1, /*bundle=*/false);
-  const Observed combined = run_scenario(5, 4, /*bundle=*/true);
-  EXPECT_EQ(combined.processed, plain.processed);
-  EXPECT_EQ(combined.state, plain.state);
-  EXPECT_EQ(combined.wire, plain.wire);
-}
 
 /// One pump's worth of records, as (client, record) in the order pump()
 /// drains them: client by client, each client's records in send order.

@@ -334,5 +334,39 @@ TEST_F(ServerTest, MalformedFrameIsRejectedGracefully) {
   EXPECT_EQ(ack->result, Errc::corruption);
 }
 
+TEST_F(ServerTest, UnknownRecordKindIsRejectedAndNotForwarded) {
+  put_file("/f", to_bytes("base"), {1, 1});
+  Transport t1(NetProfile::pc_wan());
+  Transport t2(NetProfile::pc_wan());
+  server_.attach(1, t1);
+  server_.attach(2, t2);
+  const std::vector<std::string> paths_before = server_.paths();
+  const std::uint64_t applied_before = server_.records_applied();
+
+  // 11 is the retired record_bundle kind; 0 and 16+ were never assigned.
+  for (const std::uint8_t kind : {0, 11, 16, 200}) {
+    SyncRecord r = record(OpKind::full_file, "/f", {1, 1}, {1, 2});
+    r.payload = to_bytes("overwritten");
+    Bytes frame = proto::encode(r);
+    frame[8] = kind;  // the kind byte follows the u64 sequence
+    t1.client_send(std::move(frame));
+    server_.pump();
+
+    auto reply = t1.client_poll();
+    ASSERT_TRUE(reply.has_value()) << "kind " << int{kind};
+    ASSERT_EQ((*reply)[0], 1);  // ack tag
+    Result<proto::Ack> ack =
+        proto::decode_ack(ByteSpan{reply->data() + 1, reply->size() - 1});
+    ASSERT_TRUE(ack.is_ok());
+    EXPECT_EQ(ack->result, Errc::corruption) << "kind " << int{kind};
+    EXPECT_FALSE(t1.client_poll().has_value());
+    EXPECT_FALSE(t2.client_poll().has_value()) << "kind " << int{kind};
+  }
+  EXPECT_EQ(as_text(*server_.fetch("/f")), "base");
+  EXPECT_EQ(server_.version("/f"), (VersionId{1, 1}));
+  EXPECT_EQ(server_.paths(), paths_before);
+  EXPECT_EQ(server_.records_applied(), applied_before);
+}
+
 }  // namespace
 }  // namespace dcfs

@@ -329,7 +329,6 @@ struct E2eConfig {
   bool wire = false;
   std::uint32_t delta_threads = 1;
   std::size_t apply_shards = 1;
-  bool bundle = false;
 };
 
 /// Everything observable about a finished run that must not depend on
@@ -363,7 +362,6 @@ E2eDigest run_e2e(const E2eConfig& cfg) {
     config.client_id = id;
     config.delta_threads = cfg.delta_threads;
     config.wire_compression = cfg.wire;
-    config.bundle_uploads = cfg.bundle;
     return config;
   };
   DeltaCfsClient client_a(local_a, transport_a, clock, CostProfile::pc(),
@@ -436,8 +434,8 @@ E2eDigest run_e2e(const E2eConfig& cfg) {
   }
   settle();
 
-  // Metadata churn: rename + unlink, plus a burst of small files (bundle
-  // fodder when bundling is on; tiny raw-tag frames when it is not).
+  // Metadata churn: rename + unlink, plus a burst of small files (tiny
+  // raw-tag frames).
   fs_a.rename("/sync/blob.bin", "/sync/blob2.bin");
   for (int i = 0; i < 6; ++i) {
     fs_a.write_file("/sync/small" + std::to_string(i),
@@ -506,28 +504,16 @@ TEST(WireEndToEnd, CompressionPreservesEverythingAtEveryThreadCount) {
   }
 }
 
-TEST(WireEndToEnd, CompressionComposesWithShardedApplyAndBundling) {
-  {
-    E2eConfig sharded;
-    sharded.apply_shards = 2;
-    const E2eDigest baseline = run_e2e(sharded);
-    sharded.wire = true;
-    sharded.delta_threads = 2;
-    const E2eDigest with_wire = run_e2e(sharded);
-    EXPECT_EQ(with_wire.state, baseline.state);
-    EXPECT_EQ(with_wire.peer, baseline.peer);
-    EXPECT_EQ(with_wire.errors, 0u);
-  }
-  {
-    E2eConfig bundled;
-    bundled.bundle = true;
-    const E2eDigest baseline = run_e2e(bundled);
-    bundled.wire = true;
-    const E2eDigest with_wire = run_e2e(bundled);
-    EXPECT_EQ(with_wire.state, baseline.state);
-    EXPECT_EQ(with_wire.peer, baseline.peer);
-    EXPECT_EQ(with_wire.errors, 0u);
-  }
+TEST(WireEndToEnd, CompressionComposesWithShardedApply) {
+  E2eConfig sharded;
+  sharded.apply_shards = 2;
+  const E2eDigest baseline = run_e2e(sharded);
+  sharded.wire = true;
+  sharded.delta_threads = 2;
+  const E2eDigest with_wire = run_e2e(sharded);
+  EXPECT_EQ(with_wire.state, baseline.state);
+  EXPECT_EQ(with_wire.peer, baseline.peer);
+  EXPECT_EQ(with_wire.errors, 0u);
 }
 
 TEST(WireEndToEnd, CompressibleTrafficShrinksOnTheWire) {

@@ -2,7 +2,8 @@
 """bench_compare — perf-regression gate over the BENCH_*.json artifacts.
 
 Compares freshly produced bench output (throughput_wall, server_scale,
-wire_compression) against the committed baselines in bench/baselines/ and
+wire_compression, recon_scale, stream_scale, and the paper figures fig8,
+fig9 and table2) against the committed baselines in bench/baselines/ and
 fails when a metric regressed beyond its tolerance band.
 
 Two metric classes:
@@ -19,6 +20,7 @@ Usage:
   bench_compare.py --fresh DIR        # where the fresh JSONs live
   bench_compare.py --update           # refresh baselines from fresh output
   bench_compare.py --self-test        # prove the gate fails on a 20% drop
+  bench_compare.py --join OUT IN...   # concatenate row files (BENCH_paper)
   bench_compare.py --report out.md    # also write a markdown report
 
 Exit status: 0 clean, 1 regression (or self-test failure), 2 usage error.
@@ -77,6 +79,17 @@ SPECS = {
             "up_bytes": ("exact", 0.0),
             "speedup": ("floor", 0.15),
             "records_per_sec": ("floor", 0.50),
+        },
+    },
+    # fig8/fig9 --json-out (traffic bytes) and table2 --json-out (CPU
+    # ticks), joined: every cell of the paper's figures, gated exactly.
+    "BENCH_paper.json": {
+        "key": ("bench", "host", "system", "trace"),
+        "metrics": {
+            "up_bytes": ("exact", 0.0),
+            "down_bytes": ("exact", 0.0),
+            "client_ticks": ("exact", 0.0),
+            "server_ticks": ("exact", 0.0),
         },
     },
     "BENCH_wire.json": {
@@ -208,6 +221,29 @@ def run_update(fresh_dir: str, baseline_dir: str) -> int:
     return 0 if updated else 2
 
 
+def run_join(out_path: str, in_paths: list[str]) -> int:
+    """Concatenates row files into one; a key must not repeat."""
+    spec = SPECS.get(os.path.basename(out_path))
+    rows: list[dict] = []
+    seen: set[tuple] = set()
+    for path in in_paths:
+        for row in load_rows(path):
+            if spec is not None:
+                key = row_key(row, spec["key"])
+                if key in seen:
+                    print(f"bench_compare: duplicate row {key} in {path}",
+                          file=sys.stderr)
+                    return 1
+                seen.add(key)
+            rows.append(row)
+    with open(out_path, "w", encoding="utf-8") as f:
+        f.write("[\n")
+        f.write(",\n".join("  " + json.dumps(row) for row in rows))
+        f.write("\n]\n")
+    print(f"bench_compare: joined {len(rows)} rows into {out_path}")
+    return 0
+
+
 def run_self_test(baseline_dir: str) -> int:
     """Negative test: a synthetic 20% throughput drop must fail the gate."""
     import tempfile
@@ -242,7 +278,21 @@ def run_self_test(baseline_dir: str) -> int:
             print("bench_compare: SELF-TEST FAILED: 20% regression was not "
                   "flagged", file=sys.stderr)
             return 1
-    print("bench_compare: self-test OK (identity passes, -20% fails)")
+        # One CPU tick more in one exact paper cell must fail too.
+        paper = "BENCH_paper.json"
+        paper_path = os.path.join(baseline_dir, paper)
+        if os.path.isfile(paper_path):
+            shutil.copyfile(base_path, os.path.join(tmp, name))
+            moved = load_rows(paper_path)
+            next(r for r in moved if "client_ticks" in r)["client_ticks"] += 1
+            with open(os.path.join(tmp, paper), "w", encoding="utf-8") as f:
+                json.dump(moved, f)
+            if run_compare(tmp, baseline_dir, None) != 1:
+                print("bench_compare: SELF-TEST FAILED: a one-tick move in "
+                      f"{paper} was not flagged", file=sys.stderr)
+                return 1
+    print("bench_compare: self-test OK (identity passes, -20% and a "
+          "one-tick paper move fail)")
     return 0
 
 
@@ -258,8 +308,14 @@ def main() -> int:
                         help="refresh the baselines from the fresh output")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the gate flags an injected regression")
+    parser.add_argument("--join", nargs="+", metavar=("OUT", "IN"),
+                        help="write the rows of every IN file to OUT")
     args = parser.parse_args()
 
+    if args.join:
+        if len(args.join) < 2:
+            parser.error("--join needs OUT and at least one IN file")
+        return run_join(args.join[0], args.join[1:])
     if args.self_test:
         return run_self_test(args.baselines)
     if args.update:
