@@ -64,7 +64,6 @@ int main() {
   obs.tracer.enable(clock);
   ClientConfig config;
   config.delta_threads = 2;  // exercise dcfs::par so par.* shows in `stats`
-  config.wire_compression = true;  // dcfs::wire, so net.wire.* shows too
   // Multi-round reconciliation for big renamed-in files; the threshold is
   // lowered so `recon` has something to show in hand-driven sessions.
   config.recon_mode = ReconMode::adaptive;
@@ -76,7 +75,6 @@ int main() {
   config.stream_min_bytes = 16 * 1024;
   ServerConfig server_config;
   server_config.apply_shards = 2;  // exercise the sharded apply pipeline
-  server_config.wire_compression = true;  // must match the client's knob
   DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(), config,
                         CostProfile::pc(), &obs, server_config);
   system.fs().mkdir("/sync");
@@ -199,23 +197,6 @@ int main() {
                   static_cast<unsigned long long>(
                       server.store().logical_bytes()),
                   server.store().dedup_ratio());
-      const obs::Snapshot snap = obs.registry.snapshot();
-      const std::uint64_t raw = snap.counter("net.wire.raw_bytes");
-      const std::uint64_t wired = snap.counter("net.wire.wire_bytes");
-      const std::uint64_t hits = snap.counter("net.wire.pool_hits");
-      const std::uint64_t misses = snap.counter("net.wire.pool_misses");
-      std::printf("wire       : %llu raw -> %llu wire bytes (%.1f%% saved), "
-                  "%llu frames raw, pool %.0f%% hit\n",
-                  static_cast<unsigned long long>(raw),
-                  static_cast<unsigned long long>(wired),
-                  raw > 0 ? 100.0 * (1.0 - static_cast<double>(wired) /
-                                               static_cast<double>(raw))
-                          : 0.0,
-                  static_cast<unsigned long long>(
-                      snap.counter("net.wire.skipped_frames")),
-                  hits + misses > 0 ? 100.0 * static_cast<double>(hits) /
-                                          static_cast<double>(hits + misses)
-                                    : 0.0);
       std::printf("--- metric registry ---\n%s",
                   system.metrics_snapshot().to_string().c_str());
     } else if (cmd == "trace") {

@@ -13,8 +13,7 @@
 //   application state   kvstore.table, server.block_store
 //        |                   (may log / count while locked)
 //        v
-//   infrastructure      par.pool -> par.batch -> par.batch_error,
-//                       wire.buffer_pool
+//   infrastructure      par.pool -> par.batch -> par.batch_error
 //        |
 //        v
 //   observability       obs.tracer, obs.metrics_registry, obs.logger
@@ -56,7 +55,6 @@ namespace dcfs::chk {
   X("par.pool")              \
   X("par.batch")             \
   X("par.batch_error")       \
-  X("wire.buffer_pool")      \
   X("obs.tracer")            \
   X("obs.metrics_registry")  \
   X("obs.logger")
@@ -73,10 +71,7 @@ namespace dcfs::chk {
   X("par.batch", "par.batch_error")           \
   X("par.batch_error", "obs.tracer")          \
   X("par.batch_error", "obs.metrics_registry") \
-  X("par.batch_error", "obs.logger")          \
-  X("wire.buffer_pool", "obs.tracer")         \
-  X("wire.buffer_pool", "obs.metrics_registry") \
-  X("wire.buffer_pool", "obs.logger")
+  X("par.batch_error", "obs.logger")
 
 /// One declared may-nest pair.
 struct LockOrderEdge {

@@ -3,7 +3,7 @@
 //    reused by the Checksum Store as the per-block integrity checksum
 //    (paper §III-E: "we can reuse the rolling checksum in rsync as the block
 //    checksum").
-//  - crc32: record framing in the KV store WAL and the wire codec.
+//  - crc32: record framing in the KV store WAL.
 //  - gear_hash table: content-defined chunking (Seafile/CDC baseline).
 #pragma once
 

@@ -131,13 +131,6 @@ Bytes compress(ByteSpan input) {
   return out;
 }
 
-void compress_into(ByteSpan input, Bytes& out) {
-  out.clear();
-  out.reserve(max_compressed_size(input.size()));
-  BytesSink sink{out};
-  compress_to(input, sink);
-}
-
 Status decompress_into(ByteSpan input, Bytes& out, std::size_t max_bytes) {
   out.clear();
   std::size_t pos = 0;

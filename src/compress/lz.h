@@ -3,8 +3,9 @@
 // The Dropbox baseline compresses sync payloads (the paper suspects Snappy,
 // §IV-C); this module provides a real, deterministic compressor so the
 // baseline's traffic and CPU numbers reflect genuine compressibility of the
-// workload rather than a hard-coded ratio.  The wire pipeline (src/wire)
-// reuses the same codec for adaptive per-frame compression.
+// workload rather than a hard-coded ratio.  DeltaCFS's own compression
+// ablation (ClientConfig::compress_uploads) compresses record payloads with
+// it too; frames themselves always ship uncompressed.
 //
 // Format (per sequence):
 //   token: high nibble = literal count (15 => varint extension bytes follow),
@@ -33,11 +34,6 @@ constexpr std::size_t max_compressed_size(std::size_t input_size) noexcept {
 
 /// Compresses `input`; always succeeds (worst case max_compressed_size()).
 Bytes compress(ByteSpan input);
-
-/// Compresses `input` into `out`, reusing `out`'s existing allocation when
-/// large enough.  `out` is cleared first and reserved to the worst-case
-/// bound up front so the hot path never reallocates mid-stream.
-void compress_into(ByteSpan input, Bytes& out);
 
 /// Upper bound on accepted decompressed size — malformed or adversarial
 /// streams demanding more are rejected instead of exhausting memory.

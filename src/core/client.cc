@@ -57,7 +57,6 @@ DeltaCfsClient::DeltaCfsClient(FileSystem& local, Transport& transport,
     tn_.delta = tracer_->intern("client.delta");
     tn_.upload_batch = tracer_->intern("client.upload_batch");
     tn_.upload = tracer_->intern("client.upload");
-    tn_.wire_encode = tracer_->intern("client.wire_encode");
     tn_.apply_forward = tracer_->intern("client.apply_forward");
     tn_.ack = tracer_->intern("client.ack");
     tn_.recon_round = tracer_->intern("client.recon_round");
@@ -91,9 +90,6 @@ DeltaCfsClient::DeltaCfsClient(FileSystem& local, Transport& transport,
   }
   if (config_.delta_threads > 1) {
     pool_ = std::make_unique<par::WorkerPool>(config_.delta_threads, obs);
-  }
-  if (config_.wire_compression) {
-    wire_ = std::make_unique<wire::Codec>(config_.wire_config, obs);
   }
   if (config_.enable_checksums) {
     if (!checksum_kv) {
@@ -818,30 +814,17 @@ void DeltaCfsClient::tick(TimePoint now) {
     meter_.charge(CostKind::net_frame, frame->size());
     meter_.charge(CostKind::encrypt, frame->size());
     if (frame->empty()) continue;
-    Bytes inner;
-    if (wire_ != nullptr) {
-      wire::DecodeInfo info;
-      Result<Bytes> decoded = wire_->decode(std::move(*frame), &info);
-      if (!decoded) continue;  // a corrupt wire frame carries nothing to ack
-      if (info.was_compressed) {
-        meter_.charge(CostKind::decompress, info.wire_body_size);
-      }
-      inner = std::move(*decoded);
-    } else {
-      inner = std::move(*frame);
-    }
-    if (inner.empty()) continue;
     reactor_.make_ready(conn_, rt::TaskClass::interactive,
-                        [this, frame_bytes, body = std::move(inner)]() mutable {
+                        [this, frame_bytes, body = std::move(*frame)]() mutable {
                           dispatch_frame(std::move(body), frame_bytes);
                         });
   }
   reactor_.poll(now);
 }
 
-void DeltaCfsClient::dispatch_frame(Bytes inner, std::uint64_t frame_bytes) {
-  const std::uint8_t tag = inner[0];
-  const ByteSpan body{inner.data() + 1, inner.size() - 1};
+void DeltaCfsClient::dispatch_frame(Bytes frame, std::uint64_t frame_bytes) {
+  const std::uint8_t tag = frame[0];
+  const ByteSpan body{frame.data() + 1, frame.size() - 1};
   if (tag == kFrameAck) {
     if (Result<proto::Ack> ack = proto::decode_ack(body)) {
       process_ack(*ack);
@@ -861,7 +844,6 @@ void DeltaCfsClient::dispatch_frame(Bytes inner, std::uint64_t frame_bytes) {
       handle_stream_credit(*credit);
     }
   }
-  if (wire_ != nullptr) wire_->recycle(std::move(inner));
 }
 
 void DeltaCfsClient::flush(TimePoint now) {
@@ -937,7 +919,6 @@ void DeltaCfsClient::upload_ready(TimePoint now, bool flush_all) {
       if (group != 0) blocked_groups.insert(group);
     }
   }
-  ship_outbox();
 }
 
 void DeltaCfsClient::upload_node(SyncNode node, bool allow_recon) {
@@ -975,9 +956,6 @@ void DeltaCfsClient::upload_node(SyncNode node, bool allow_recon) {
   record.txn_group = node.txn_group;
   record.txn_last = node.txn_last;
   record.base_deleted = node.base_deleted;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    record.trace_id = next_trace_id();
-  }
 
   if (node.kind == proto::OpKind::write) {
     std::vector<proto::Segment> segments;
@@ -989,7 +967,11 @@ void DeltaCfsClient::upload_node(SyncNode node, bool allow_recon) {
   } else {
     record.payload = std::move(node.payload);
   }
+  upload_record(record, proto::MessageType::sync_record);
+}
 
+void DeltaCfsClient::upload_record(proto::SyncRecord& record,
+                                   proto::MessageType type) {
   if (config_.compress_uploads &&
       record.payload.size() >= config_.compress_min_bytes) {
     const std::uint64_t units_before = meter_.units();
@@ -1005,68 +987,28 @@ void DeltaCfsClient::upload_node(SyncNode node, bool allow_recon) {
                                        meter_.profile()));
     }
   }
-
-  Bytes frame = frame_buffer(record.payload.size() + record.path.size() +
-                             record.path2.size() + 80);
-  proto::encode_into(record, frame);
+  if (tracer_ != nullptr && tracer_->enabled()) {
+    record.trace_id = next_trace_id();
+  }
   obs::inc(stats_.uploads);
-  obs::observe(stats_.record_bytes, frame.size());
   ++records_uploaded_;
   if (record.trace_id != 0) tracer_->flow_start(record.trace_id);
   if (stages_ != nullptr) inflight_sent_[record.sequence] = clock_.now();
-  send_record_frame(std::move(frame));
+  obs::observe(stats_.record_bytes, send_frame(record, type));
 }
 
-Bytes DeltaCfsClient::frame_buffer(std::size_t size_hint) const {
-  if (wire_ != nullptr) return wire_->buffer(size_hint);
-  return Bytes{};
-}
-
-void DeltaCfsClient::send_record_frame(Bytes frame) {
-  if (wire_ != nullptr) {
-    // Wire encoding (and its meter charges) happens in ship_outbox, after
-    // the whole upload batch staged its frames — large frames compress on
-    // the delta pool while the batch keeps producing.
-    outbox_.push_back(std::move(frame));
-    return;
-  }
-  meter_.charge(CostKind::encrypt, frame.size());
-  meter_.charge(CostKind::net_frame, frame.size());
-  const Duration wire_time =
-      transport_.client_send(std::move(frame), proto::MessageType::sync_record);
+std::size_t DeltaCfsClient::send_frame(const proto::SyncRecord& record,
+                                       proto::MessageType type) {
+  Bytes frame = proto::encode(record);
+  const std::size_t size = frame.size();
+  meter_.charge(CostKind::encrypt, size);
+  meter_.charge(CostKind::net_frame, size);
+  const Duration wire_time = transport_.client_send(std::move(frame), type);
   if (stages_ != nullptr) {
     stages_->record(obs::Stage::transport,
                     static_cast<std::uint64_t>(wire_time));
   }
-}
-
-void DeltaCfsClient::ship_outbox() {
-  if (wire_ == nullptr || outbox_.empty()) return;
-  obs::Span span(tracer_, tn_.wire_encode);
-  std::vector<wire::EncodedFrame> encoded =
-      wire_->encode_batch(std::move(outbox_), pool_.get());
-  outbox_.clear();
-  // Charge and send in staging order: the meter sees the same totals in
-  // the same sequence regardless of how many lanes encoded the batch.
-  for (wire::EncodedFrame& frame : encoded) {
-    if (frame.attempted) {
-      const std::uint64_t units_before = meter_.units();
-      meter_.charge(CostKind::compress, frame.raw_size);
-      if (stages_ != nullptr) {
-        stages_->record(obs::Stage::compress,
-                        obs::units_to_us(meter_.units() - units_before,
-                                         meter_.profile()));
-      }
-    }
-    meter_.charge(CostKind::encrypt, frame.wire.size());
-    meter_.charge(CostKind::net_frame, frame.wire.size());
-    const Duration wire_time = transport_.client_send(
-        std::move(frame.wire), proto::MessageType::sync_record);
-    if (stages_ != nullptr) {
-      stages_->record(obs::Stage::transport,
-                      static_cast<std::uint64_t>(wire_time));
-    }
-  }
+  return size;
 }
 
 std::uint64_t DeltaCfsClient::next_trace_id() noexcept {
@@ -1108,11 +1050,6 @@ rsyncx::recon::Planner::Mode DeltaCfsClient::recon_mode_for(
 }
 
 void DeltaCfsClient::start_recon(SyncNode node) {
-  // Everything staged before this node (the tombstone or rename that
-  // created the base we negotiate against) must reach the server ahead of
-  // the first query: the server answers from its applied state.
-  ship_outbox();
-
   if (stages_ != nullptr) {
     stages_->record(obs::Stage::queue_wait,
                     static_cast<std::uint64_t>(
@@ -1167,39 +1104,13 @@ void DeltaCfsClient::send_recon_query(
     record.trace_id = next_trace_id();
   }
 
-  Bytes frame = frame_buffer(record.payload.size() + record.path.size() + 80);
-  proto::encode_into(record, frame);
   ++recon_rounds_sent_;
   obs::inc(stats_.recon_rounds);
   if (record.trace_id != 0) tracer_->flow_start(record.trace_id);
   session.round_sent = clock_.now();
-
-  // Queries ship immediately (never staged): the round trip
-  // is the unit of progress, so there is nothing to batch against.
-  Duration wire_time = 0;
-  if (wire_ != nullptr) {
-    wire::EncodedFrame encoded = wire_->encode(std::move(frame));
-    if (encoded.attempted) {
-      meter_.charge(CostKind::compress, encoded.raw_size);
-    }
-    meter_.charge(CostKind::encrypt, encoded.wire.size());
-    meter_.charge(CostKind::net_frame, encoded.wire.size());
-    session.up_bytes += encoded.wire.size();
-    recon_up_bytes_ += encoded.wire.size();
-    wire_time = transport_.client_send(std::move(encoded.wire),
-                                       proto::MessageType::recon);
-  } else {
-    meter_.charge(CostKind::encrypt, frame.size());
-    meter_.charge(CostKind::net_frame, frame.size());
-    session.up_bytes += frame.size();
-    recon_up_bytes_ += frame.size();
-    wire_time =
-        transport_.client_send(std::move(frame), proto::MessageType::recon);
-  }
-  if (stages_ != nullptr) {
-    stages_->record(obs::Stage::transport,
-                    static_cast<std::uint64_t>(wire_time));
-  }
+  const std::size_t sent = send_frame(record, proto::MessageType::recon);
+  session.up_bytes += sent;
+  recon_up_bytes_ += sent;
 }
 
 void DeltaCfsClient::handle_recon_response(const proto::ReconResponse& response,
@@ -1262,35 +1173,7 @@ void DeltaCfsClient::finish_recon(ReconSession& session) {
   record.new_version = session.node.new_version;
   record.base_deleted = session.base_deleted;
   record.payload = rsyncx::encode_delta(delta);
-
-  if (config_.compress_uploads &&
-      record.payload.size() >= config_.compress_min_bytes) {
-    const std::uint64_t units_before = meter_.units();
-    meter_.charge(CostKind::compress, record.payload.size());
-    Bytes packed = lz::compress(record.payload);
-    if (packed.size() < record.payload.size()) {
-      record.payload = std::move(packed);
-      record.compressed = true;
-    }
-    if (stages_ != nullptr) {
-      stages_->record(obs::Stage::compress,
-                      obs::units_to_us(meter_.units() - units_before,
-                                       meter_.profile()));
-    }
-  }
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    record.trace_id = next_trace_id();
-  }
-
-  Bytes frame = frame_buffer(record.payload.size() + record.path.size() + 80);
-  proto::encode_into(record, frame);
-  obs::inc(stats_.uploads);
-  obs::observe(stats_.record_bytes, frame.size());
-  ++records_uploaded_;
-  if (record.trace_id != 0) tracer_->flow_start(record.trace_id);
-  if (stages_ != nullptr) inflight_sent_[record.sequence] = clock_.now();
-  send_record_frame(std::move(frame));
-  ship_outbox();
+  upload_record(record, proto::MessageType::sync_record);
 
   // Savings vs the classic reference: the whole-base signature download
   // this session avoided, minus the negotiation bytes it spent instead.
@@ -1308,7 +1191,6 @@ void DeltaCfsClient::recon_fallback(ReconSession& session) {
   obs::inc(stats_.recon_fallbacks);
   session.node.payload = std::move(session.target);
   upload_node(std::move(session.node), /*allow_recon=*/false);
-  ship_outbox();
 }
 
 // ---------------------------------------------------------------------------
@@ -1377,10 +1259,6 @@ bool DeltaCfsClient::spill_snapshot(SyncNode& node, const std::string& path,
 }
 
 void DeltaCfsClient::start_stream(SyncNode node) {
-  // Frames staged before this node must not be overtaken by its chunks:
-  // the server consumes frames in arrival order.
-  ship_outbox();
-
   if (stages_ != nullptr) {
     stages_->record(obs::Stage::queue_wait,
                     static_cast<std::uint64_t>(
@@ -1405,7 +1283,8 @@ void DeltaCfsClient::start_stream(SyncNode node) {
   open.base_deleted = live.node.base_deleted;
   open.offset = config_.stream_window_bytes;  // advertised window
   open.size = live.total;
-  send_stream_frame(open);
+  obs::observe(stats_.record_bytes,
+               send_frame(open, proto::MessageType::stream));
 
   // The first window pumps on the reactor's bulk lane: interactive work
   // already queued this tick dispatches first.
@@ -1448,7 +1327,8 @@ void DeltaCfsClient::pump_stream(OutStream& stream, bool draining) {
     chunk.offset = stream.sent;
     chunk.size = stream.chunk_seq;  // ordinal, for reorder detection
     chunk.payload = std::move(*data);
-    send_stream_frame(chunk);
+    obs::observe(stats_.record_bytes,
+                 send_frame(chunk, proto::MessageType::stream));
     stream.sent += granted;
     ++stream.chunk_seq;
     if (draining) {
@@ -1484,14 +1364,7 @@ void DeltaCfsClient::finish_stream(OutStream& stream) {
   commit.txn_group = stream.node.txn_group;
   commit.txn_last = stream.node.txn_last;
   commit.base_deleted = stream.node.base_deleted;
-  if (tracer_ != nullptr && tracer_->enabled()) {
-    commit.trace_id = next_trace_id();
-  }
-  obs::inc(stats_.uploads);
-  ++records_uploaded_;
-  if (commit.trace_id != 0) tracer_->flow_start(commit.trace_id);
-  if (stages_ != nullptr) inflight_sent_[commit.sequence] = clock_.now();
-  send_stream_frame(commit);
+  upload_record(commit, proto::MessageType::stream);
   local_.unlink(stream.node.spill_path);
   ledger_.release(stream.unacked);
   out_streams_.erase(stream.id);  // `stream` is dead past this line
@@ -1506,36 +1379,6 @@ void DeltaCfsClient::finish_streams() {
     if (const auto it = out_streams_.find(id); it != out_streams_.end()) {
       pump_stream(it->second, /*draining=*/true);
     }
-  }
-}
-
-void DeltaCfsClient::send_stream_frame(const proto::SyncRecord& record) {
-  Bytes frame = frame_buffer(record.payload.size() + record.path.size() +
-                             record.path2.size() + 80);
-  proto::encode_into(record, frame);
-  obs::observe(stats_.record_bytes, frame.size());
-  // Stream frames ship immediately (never staged): pacing
-  // is the credit window's job, and the server consumes frames in arrival
-  // order.
-  Duration wire_time = 0;
-  if (wire_ != nullptr) {
-    wire::EncodedFrame encoded = wire_->encode(std::move(frame));
-    if (encoded.attempted) {
-      meter_.charge(CostKind::compress, encoded.raw_size);
-    }
-    meter_.charge(CostKind::encrypt, encoded.wire.size());
-    meter_.charge(CostKind::net_frame, encoded.wire.size());
-    wire_time = transport_.client_send(std::move(encoded.wire),
-                                       proto::MessageType::stream);
-  } else {
-    meter_.charge(CostKind::encrypt, frame.size());
-    meter_.charge(CostKind::net_frame, frame.size());
-    wire_time =
-        transport_.client_send(std::move(frame), proto::MessageType::stream);
-  }
-  if (stages_ != nullptr) {
-    stages_->record(obs::Stage::transport,
-                    static_cast<std::uint64_t>(wire_time));
   }
 }
 

@@ -39,7 +39,6 @@
 #include "rt/credit.h"
 #include "rt/reactor.h"
 #include "vfs/intercept.h"
-#include "wire/wire.h"
 
 namespace dcfs {
 
@@ -89,17 +88,6 @@ struct ClientConfig {
   /// counts as one lane, so 1 means strictly serial — the pre-existing code
   /// path.  Output bytes and CostMeter totals are identical at any setting.
   std::uint32_t delta_threads = 1;
-  /// Adaptive wire compression (dcfs::wire): every frame gains a 1-byte
-  /// raw|lz header; compressible frames ship as lz streams, incompressible
-  /// or tiny frames ship raw (detected by a sampled-entropy probe and a
-  /// size floor).  Traffic meters and NetProfile wire time then see
-  /// post-compression bytes.  Must match the server's
-  /// ServerConfig::wire_compression (a framing contract).
-  /// Off by default so existing byte-exact accounting is unchanged.
-  bool wire_compression = false;
-  /// Tuning for the wire codec (floor / probe), used when
-  /// wire_compression is on.
-  wire::CodecConfig wire_config = {};
   /// Multi-round reconciliation for large whole-file uploads: instead of
   /// shipping the full content, negotiate with the server which regions
   /// actually changed (rsyncx/recon.h) and upload a delta against the
@@ -218,8 +206,6 @@ class DeltaCfsClient final : public OpSink {
       std::string_view path) const;
   /// Null when `delta_threads` <= 1.
   [[nodiscard]] par::WorkerPool* delta_pool() noexcept { return pool_.get(); }
-  /// Null unless ClientConfig::wire_compression.
-  [[nodiscard]] wire::Codec* wire_codec() noexcept { return wire_.get(); }
   /// The client keeps no signature cache; both always return 0.  They stay
   /// only because wallbench's `core.sigcache_hit_ratio` still reads them.
   [[nodiscard]] std::uint64_t signature_cache_hits() const noexcept {
@@ -246,8 +232,8 @@ class DeltaCfsClient final : public OpSink {
   [[nodiscard]] std::uint64_t recon_fallbacks() const noexcept {
     return recon_fallbacks_;
   }
-  /// Negotiation wire bytes (queries up, answers down), post wire codec —
-  /// what the transport actually carried, excluding the final delta.
+  /// Negotiation frame bytes (queries up, answers down) — what the
+  /// transport carried, excluding the final delta.
   [[nodiscard]] std::uint64_t recon_up_bytes() const noexcept {
     return recon_up_bytes_;
   }
@@ -365,8 +351,8 @@ class DeltaCfsClient final : public OpSink {
     bool base_known = false;
     std::uint64_t base_size = 0;
     bool awaiting_signatures = false;
-    std::uint64_t up_bytes = 0;    ///< query wire bytes (post codec)
-    std::uint64_t down_bytes = 0;  ///< answer wire bytes (post codec)
+    std::uint64_t up_bytes = 0;    ///< query frame bytes
+    std::uint64_t down_bytes = 0;  ///< answer frame bytes
     TimePoint round_sent = 0;
   };
 
@@ -413,8 +399,6 @@ class DeltaCfsClient final : public OpSink {
   void finish_stream(OutStream& stream);
   /// Drains every open stream to completion ignoring credit (flush path).
   void finish_streams();
-  /// Encodes + immediately ships one stream-typed record frame.
-  void send_stream_frame(const proto::SyncRecord& record);
   /// Window credit from the server (downstream frame tag 4).
   void handle_stream_credit(const proto::StreamCredit& credit);
   /// Merges deferred_ + freshly matured nodes, uploads every node not
@@ -437,19 +421,18 @@ class DeltaCfsClient final : public OpSink {
   void finish_recon(ReconSession& session);
   /// Server refused (or the answer was unusable): upload the full content.
   void recon_fallback(ReconSession& session);
-  /// Charges frame costs and ships one encoded record frame.
-  /// With wire compression on, the frame is staged in the outbox instead
-  /// and ships (batch-encoded) in ship_outbox().
-  void send_record_frame(Bytes frame);
-  /// Wire-encodes staged frames (on the delta pool when configured — the
-  /// codec slots results by index, so output bytes are identical at any
-  /// thread count), charges the meter in frame order, and sends.
-  void ship_outbox();
-  /// A frame buffer for proto encoding: pooled when the wire codec is on.
-  [[nodiscard]] Bytes frame_buffer(std::size_t size_hint) const;
-  /// Decoded downstream frame dispatch (runs as an interactive reactor
-  /// task): ack / forwarded record / recon answer / stream credit.
-  void dispatch_frame(Bytes inner, std::uint64_t frame_bytes);
+  /// Ships one uploaded record (plain, recon result or stream commit):
+  /// compresses its payload under `compress_uploads`, stamps its trace id,
+  /// counts it, starts its trace flow and its ack round-trip clock.
+  void upload_record(proto::SyncRecord& record, proto::MessageType type);
+  /// The one upstream send path: encodes `record`, charges the frame's
+  /// encrypt and net_frame costs, ships it and records its transport
+  /// stage.  Returns the frame's size in bytes.
+  std::size_t send_frame(const proto::SyncRecord& record,
+                         proto::MessageType type);
+  /// Downstream frame dispatch (runs as an interactive reactor task):
+  /// ack / forwarded record / recon answer / stream credit.
+  void dispatch_frame(Bytes frame, std::uint64_t frame_bytes);
   void process_ack(const proto::Ack& ack);
   void apply_forward(proto::SyncRecord record);
 
@@ -477,7 +460,6 @@ class DeltaCfsClient final : public OpSink {
     obs::NameId delta = 0;
     obs::NameId upload_batch = 0;
     obs::NameId upload = 0;
-    obs::NameId wire_encode = 0;
     obs::NameId apply_forward = 0;
     obs::NameId ack = 0;
     obs::NameId recon_round = 0;
@@ -519,10 +501,6 @@ class DeltaCfsClient final : public OpSink {
   RelationTable relations_;
   UndoLog undo_;
   std::unique_ptr<par::WorkerPool> pool_;
-  std::unique_ptr<wire::Codec> wire_;  ///< null unless wire_compression
-  /// Frames staged for the wire codec within the current upload batch;
-  /// always drained by ship_outbox() before the batch returns.
-  std::vector<Bytes> outbox_;
   std::unique_ptr<ChecksumStore> checksums_;
 
   std::uint64_t version_counter_ = 0;

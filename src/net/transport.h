@@ -2,12 +2,11 @@
 //
 // Stand-in for the paper's EC2/WAN testbed: an in-process duplex frame
 // queue with byte-exact traffic accounting and a bandwidth/latency profile.
-// Frames are opaque byte vectors (encoded proto messages — or, with wire
-// compression enabled, dcfs::wire frames); every frame pays a fixed framing
-// overhead (TCP/TLS headers) like the real deployment.  Because endpoints
-// hand the transport their post-compression bytes, the traffic meter and
-// the NetProfile's wire-time model automatically see what would actually
-// cross the network.
+// Frames are opaque byte vectors (encoded proto messages, sent as they are
+// encoded); every frame pays a fixed framing overhead (TCP/TLS headers)
+// like the real deployment.  The traffic meter and the NetProfile's
+// wire-time model therefore see exactly the bytes that would cross the
+// network.
 #pragma once
 
 #include <cstdint>

@@ -164,8 +164,8 @@ struct Segment {
 Bytes encode_segments(const std::vector<Segment>& segments);
 Result<std::vector<Segment>> decode_segments(ByteSpan wire);
 
-/// Byte-exact serialization (these frames are what the traffic meters see,
-/// after the optional wire-compression layer in dcfs::wire).
+/// Byte-exact serialization (these frames are exactly what the traffic
+/// meters see).
 Bytes encode(const SyncRecord& record);
 Result<SyncRecord> decode_record(ByteSpan wire);
 
@@ -173,9 +173,9 @@ Bytes encode(const Ack& ack);
 Result<Ack> decode_ack(ByteSpan wire);
 
 /// Appending variants: serialize onto the end of `out` (not cleared),
-/// reserving the full encoded size up front.  Used with pooled buffers
-/// (wire::BufferPool) so frame encoding reuses transport-recycled storage
-/// instead of allocating; encode() wraps these.
+/// reserving the full encoded size up front.  The server writes its
+/// downstream frames this way, after their one-byte tag; encode() wraps
+/// these.
 void encode_into(const SyncRecord& record, Bytes& out);
 void encode_into(const Ack& ack, Bytes& out);
 

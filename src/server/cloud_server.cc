@@ -31,9 +31,6 @@ CloudServer::CloudServer(const CostProfile& profile, ServerConfig config,
       // A one-lane pool never runs a batch; instrumenting it would only
       // overwrite the par.* metrics of a pool sharing the registry.
       pool_(config.apply_shards, config.apply_shards > 1 ? obs : nullptr) {
-  if (config_.wire_compression) {
-    wire_ = std::make_unique<wire::Codec>(config_.wire_config, obs);
-  }
   if (obs != nullptr) {
     tracer_ = &obs->tracer;
     stages_ = &obs->stages;
@@ -75,19 +72,6 @@ void CloudServer::update_store_gauges() {
       static_cast<std::int64_t>(std::llround(store_.dedup_ratio() * 1000.0)));
 }
 
-Result<proto::SyncRecord> CloudServer::decode_frame(Bytes frame) {
-  if (wire_ == nullptr) return proto::decode_record(frame);
-  wire::DecodeInfo info;
-  Result<Bytes> inner = wire_->decode(std::move(frame), &info);
-  if (!inner) return inner.status();
-  if (info.was_compressed) {
-    meter_.charge(CostKind::decompress, info.wire_body_size);
-  }
-  Result<proto::SyncRecord> record = proto::decode_record(*inner);
-  wire_->recycle(std::move(*inner));
-  return record;
-}
-
 std::size_t CloudServer::pump() {
   std::vector<PumpItem> batch;
   std::size_t processed = 0;
@@ -101,7 +85,8 @@ std::size_t CloudServer::pump() {
     while (auto frame = transport->server_poll()) {
       meter_.charge(CostKind::net_frame, frame->size());
       meter_.charge(CostKind::encrypt, frame->size());  // TLS decrypt
-      Result<proto::SyncRecord> record = decode_frame(std::move(*frame));
+      Result<proto::SyncRecord> record = proto::decode_record(*frame);
+      frame.reset();  // the record owns its bytes: free the frame first
       if (!record) {  // no sequence or trace context to echo
         reject(client_id, ack_for(proto::SyncRecord{}, Errc::corruption));
         continue;
@@ -962,23 +947,10 @@ void CloudServer::send_recon(std::uint32_t client_id,
   if (response.trace_id != 0 && tracer_ != nullptr) {
     tracer_->flow_start(proto::ack_flow_id(response.trace_id));
   }
-  Bytes frame = wire_ != nullptr
-                    ? wire_->buffer(64 + response.shingles.size() * 24)
-                    : Bytes{};
+  Bytes frame;
   frame.push_back(3);  // server-to-client tag: recon answer
   proto::encode_into(response, frame);
-  if (wire_ != nullptr) {
-    wire::EncodedFrame encoded = wire_->encode(std::move(frame));
-    if (encoded.attempted) {
-      meter_.charge(CostKind::compress, encoded.raw_size);
-    }
-    meter_.charge(CostKind::net_frame, encoded.wire.size());
-    it->second->server_send(std::move(encoded.wire),
-                            proto::MessageType::recon);
-    return;
-  }
-  meter_.charge(CostKind::net_frame, frame.size());
-  it->second->server_send(std::move(frame), proto::MessageType::recon);
+  send_frame(*it->second, std::move(frame), proto::MessageType::recon);
 }
 
 CloudServer::StreamOutcome CloudServer::handle_stream(
@@ -1070,42 +1042,19 @@ void CloudServer::send_credit(std::uint32_t client_id, std::uint64_t stream_id,
   proto::StreamCredit credit;
   credit.stream_id = stream_id;
   credit.bytes = bytes;
-  Bytes frame = wire_ != nullptr ? wire_->buffer(24) : Bytes{};
+  Bytes frame;
   frame.push_back(4);  // server-to-client tag: stream credit
   proto::encode_into(credit, frame);
-  if (wire_ != nullptr) {
-    wire::EncodedFrame encoded = wire_->encode(std::move(frame));
-    if (encoded.attempted) {
-      meter_.charge(CostKind::compress, encoded.raw_size);
-    }
-    meter_.charge(CostKind::net_frame, encoded.wire.size());
-    it->second->server_send(std::move(encoded.wire),
-                            proto::MessageType::stream);
-    return;
-  }
-  meter_.charge(CostKind::net_frame, frame.size());
-  it->second->server_send(std::move(frame), proto::MessageType::stream);
+  send_frame(*it->second, std::move(frame), proto::MessageType::stream);
 }
 
 void CloudServer::send_ack(std::uint32_t client_id, const proto::Ack& ack) {
   const auto it = clients_.find(client_id);
   if (it == clients_.end()) return;
-  Bytes frame = wire_ != nullptr ? wire_->buffer(64) : Bytes{};
+  Bytes frame;
   frame.push_back(1);  // server-to-client tag: ack
   proto::encode_into(ack, frame);
-  if (wire_ != nullptr) {
-    // Acks sit under the codec's size floor, so they ship raw — the wire
-    // layer only adds its 1-byte header (and byte-exact accounting).
-    wire::EncodedFrame encoded = wire_->encode(std::move(frame));
-    if (encoded.attempted) {
-      meter_.charge(CostKind::compress, encoded.raw_size);
-    }
-    meter_.charge(CostKind::net_frame, encoded.wire.size());
-    it->second->server_send(std::move(encoded.wire), proto::MessageType::ack);
-    return;
-  }
-  meter_.charge(CostKind::net_frame, frame.size());
-  it->second->server_send(std::move(frame), proto::MessageType::ack);
+  send_frame(*it->second, std::move(frame), proto::MessageType::ack);
 }
 
 void CloudServer::forward(std::uint32_t from_client,
@@ -1118,30 +1067,19 @@ void CloudServer::forward(std::uint32_t from_client,
   }
   // §III-D: "besides storing the data it also forwards the data to other
   // shared clients" — no recomputation, the same record goes out.
-  Bytes frame = wire_ != nullptr
-                    ? wire_->buffer(record.payload.size() + 80)
-                    : Bytes{};
+  Bytes frame;
   frame.push_back(2);  // server-to-client tag: forwarded record
   proto::encode_into(record, frame);
-  if (wire_ != nullptr) {
-    // Compress once; every peer receives a copy of the same wire bytes.
-    wire::EncodedFrame encoded = wire_->encode(std::move(frame));
-    if (encoded.attempted) {
-      meter_.charge(CostKind::compress, encoded.raw_size);
-    }
-    for (auto& [client_id, transport] : clients_) {
-      if (client_id == from_client) continue;
-      meter_.charge(CostKind::net_frame, encoded.wire.size());
-      transport->server_send(encoded.wire, proto::MessageType::forward);
-    }
-    wire_->recycle(std::move(encoded.wire));
-    return;
-  }
   for (auto& [client_id, transport] : clients_) {
     if (client_id == from_client) continue;
-    meter_.charge(CostKind::net_frame, frame.size());
-    transport->server_send(frame, proto::MessageType::forward);
+    send_frame(*transport, frame, proto::MessageType::forward);  // a copy
   }
+}
+
+void CloudServer::send_frame(Transport& transport, Bytes frame,
+                             proto::MessageType type) {
+  meter_.charge(CostKind::net_frame, frame.size());
+  transport.server_send(std::move(frame), type);
 }
 
 std::string CloudServer::conflict_name(std::string_view path,

@@ -80,24 +80,6 @@ TEST(LzTest, BadOffsetReportsCorruption) {
   EXPECT_FALSE(lz::decompress(bogus).is_ok());
 }
 
-TEST(LzTest, CompressIntoMatchesCompressAndReusesCapacity) {
-  Rng rng(21);
-  Bytes scratch;
-  for (const std::size_t size : {0u, 100u, 5000u, 200'000u}) {
-    const Bytes text = rng.text(size);
-    lz::compress_into(text, scratch);
-    EXPECT_EQ(scratch, lz::compress(text)) << size;
-  }
-
-  // A buffer big enough for the worst case is never reallocated.
-  const Bytes data = rng.text(64 * 1024);
-  scratch.clear();
-  scratch.reserve(lz::max_compressed_size(data.size()));
-  const std::uint8_t* storage = scratch.data();
-  lz::compress_into(data, scratch);
-  EXPECT_EQ(scratch.data(), storage);
-}
-
 TEST(LzTest, DecompressIntoMatchesDecompressAndReusesCapacity) {
   Rng rng(22);
   const Bytes data = rng.text(64 * 1024);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "common/rng.h"
 #include "kvstore/kvstore.h"
@@ -78,7 +79,8 @@ TEST(KvStoreTest, CompactionShrinksLogAndPreservesData) {
   auto storage = std::make_shared<MemoryWalStorage>();
   KvStore kv(storage);
   for (int i = 0; i < 100; ++i) {
-    kv.put("hot", to_bytes("v" + std::to_string(i)));
+    std::string value = "v";  // appended: see proto::to_string(VersionId)
+    kv.put("hot", to_bytes(value.append(std::to_string(i))));
   }
   kv.sync();
   const std::size_t before = storage->durable_size();

@@ -4,7 +4,7 @@
 //     machine-readable manifest (tools/lock_order.json) token for token —
 //     editing one without the other fails here;
 //   * a real parallel client/server workload (delta threads, sharded
-//     apply, wire compression, kvstore auto-compaction, tracing) must run
+//     apply, kvstore auto-compaction, tracing) must run
 //     with zero lockdep violations, and every cross-class nesting the
 //     runtime graph observed must be covered by the declared order;
 //   * the observed DOT is exported to lockdep_runtime.dot so CI can run
@@ -100,10 +100,10 @@ TEST(LockOrderTest, ManifestMatchesDeclaration) {
 }
 
 // Drives every lock-owning subsystem at once — parallel delta kernels,
-// sharded server apply, wire compression over the shared BufferPool,
-// tracing + metrics + logging, and a kvstore with auto-compaction under a
-// worker pool — then checks the lockdep graph this produced against the
-// declared order and exports it for tools/lockdep_check.py.
+// sharded server apply, tracing + metrics + logging, and a kvstore with
+// auto-compaction under a worker pool — then checks the lockdep graph this
+// produced against the declared order and exports it for
+// tools/lockdep_check.py.
 TEST(LockOrderTest, WorkloadObeysDeclaredOrderAndExportsDot) {
 #if defined(DCFS_CHK_ENABLED)
   const std::uint64_t violations_before = chk::violation_count();
@@ -117,10 +117,8 @@ TEST(LockOrderTest, WorkloadObeysDeclaredOrderAndExportsDot) {
     ClientConfig config;
     config.client_id = 1;
     config.delta_threads = 2;
-    config.wire_compression = true;
     ServerConfig server_config;
     server_config.apply_shards = 2;
-    server_config.wire_compression = true;
 
     DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
                           config, CostProfile::pc(), &obs, server_config);

@@ -11,6 +11,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <unordered_map>
@@ -20,11 +21,15 @@
 #include "baselines/deltacfs_system.h"
 #include "common/rng.h"
 #include "core/checksum_store.h"
+#include "core/client.h"
 #include "metrics/cost.h"
+#include "net/transport.h"
 #include "par/parallel_delta.h"
 #include "par/worker_pool.h"
 #include "rsyncx/delta.h"
 #include "rsyncx/match.h"
+#include "server/cloud_server.h"
+#include "vfs/intercept.h"
 #include "vfs/memfs.h"
 
 namespace dcfs {
@@ -463,9 +468,147 @@ TEST(ChecksumStoreBulkTest, BulkIndexMatchesSerialStateAndCharges) {
   }
 }
 
-/// End-to-end determinism: two full DeltaCFS stacks differing only in
+/// Everything observable about a two-client run of the mixed workload
+/// below: server files, versions, histories and counters, client B's
+/// forwarded view, and the clients' upload / forward / conflict / error
+/// counts.
+struct MixedDigest {
+  std::string state;
+  std::string peer;
+  std::uint64_t uploaded = 0;
+  std::uint64_t forwards = 0;
+  std::uint64_t conflicts = 0;
+  std::uint64_t errors = 0;
+};
+
+/// Two clients sharing one cloud, both at `threads` delta lanes, run a
+/// mixed workload: compressible text and incompressible blobs from both
+/// sides, an append and an in-place patch, a transactional (Word-style)
+/// save, a rename, an unlink by the peer and a burst of small files.
+MixedDigest run_mixed_workload(std::uint32_t threads) {
+  VirtualClock clock;
+  MemFs local_a(clock);
+  MemFs local_b(clock);
+  Transport transport_a(NetProfile::pc_wan());
+  Transport transport_b(NetProfile::pc_wan());
+  CloudServer server(CostProfile::pc());
+
+  auto client_config = [threads](std::uint32_t id) {
+    ClientConfig config;
+    config.client_id = id;
+    config.delta_threads = threads;
+    return config;
+  };
+  DeltaCfsClient client_a(local_a, transport_a, clock, CostProfile::pc(),
+                          client_config(1));
+  DeltaCfsClient client_b(local_b, transport_b, clock, CostProfile::pc(),
+                          client_config(2));
+  InterceptingFs fs_a(local_a, client_a);
+  InterceptingFs fs_b(local_b, client_b);
+  server.attach(1, transport_a);
+  server.attach(2, transport_b);
+
+  auto settle = [&](Duration duration = seconds(12)) {
+    for (Duration t = 0; t < duration; t += milliseconds(200)) {
+      clock.advance(milliseconds(200));
+      client_a.tick(clock.now());
+      client_b.tick(clock.now());
+      server.pump();
+      client_a.tick(clock.now());
+      client_b.tick(clock.now());
+    }
+    client_a.flush(clock.now());
+    client_b.flush(clock.now());
+    server.pump();
+    client_a.tick(clock.now());
+    client_b.tick(clock.now());
+  };
+
+  fs_a.mkdir("/sync");
+  fs_b.mkdir("/sync");
+  settle();
+
+  Rng rng(99);
+  fs_a.write_file("/sync/notes.txt", rng.text(48 * 1024));
+  fs_a.write_file("/sync/blob.bin", rng.bytes(24 * 1024));
+  fs_b.write_file("/sync/peer.log", rng.text(8 * 1024));
+  settle();
+
+  // Grow the text (delta-friendly append) and patch the blob in place.
+  if (Result<FileHandle> h = fs_a.open("/sync/notes.txt")) {
+    fs_a.write(*h, 48 * 1024, rng.text(16 * 1024));
+    fs_a.close(*h);
+  }
+  if (Result<FileHandle> h = fs_a.open("/sync/blob.bin")) {
+    fs_a.write(*h, 1000, rng.bytes(512));
+    fs_a.close(*h);
+  }
+  settle();
+
+  // Transactional save (Fig. 3 Word pattern): the local-delta path.
+  if (Result<Bytes> doc = local_a.read_file("/sync/notes.txt")) {
+    Bytes edited = std::move(*doc);
+    const Bytes patch = rng.text(2048);
+    edited.insert(edited.begin() + 1024, patch.begin(), patch.end());
+    fs_a.rename("/sync/notes.txt", "/sync/notes.txt.bak");
+    fs_a.write_file("/sync/notes.txt.tmp", edited);
+    fs_a.rename("/sync/notes.txt.tmp", "/sync/notes.txt");
+    fs_a.unlink("/sync/notes.txt.bak");
+  }
+  settle();
+
+  // Metadata churn: a rename, small files, and an unlink from the peer.
+  fs_a.rename("/sync/blob.bin", "/sync/blob2.bin");
+  for (int i = 0; i < 6; ++i) {
+    fs_a.write_file("/sync/small" + std::to_string(i),
+                    rng.text(200 + 37 * static_cast<std::uint64_t>(i)));
+  }
+  fs_b.unlink("/sync/peer.log");
+  settle(seconds(16));
+
+  MixedDigest digest;
+  std::ostringstream state;
+  for (const std::string& path : server.paths()) {
+    Result<Bytes> content = server.fetch(path);
+    state << path << " #" << (content ? fnv1a(*content) : 0) << " @";
+    if (auto v = server.version(path)) {
+      state << v->client_id << ":" << v->counter;
+    }
+    state << " [";
+    for (const proto::VersionId& v : server.history(path)) {
+      Result<Bytes> old = server.fetch_version(path, v);
+      state << v.client_id << ":" << v.counter << "#"
+            << (old ? fnv1a(*old) : 0) << " ";
+    }
+    state << "]\n";
+  }
+  for (const std::string& path : server.conflict_paths()) {
+    state << "conflict " << path << "\n";
+  }
+  state << "applied=" << server.records_applied()
+        << " conflicts=" << server.conflicts_seen()
+        << " txn=" << server.txn_groups_applied()
+        << " rejected=" << server.rejections().size();
+  digest.state = state.str();
+
+  std::ostringstream peer;
+  for (const std::string& path : server.paths()) {
+    Result<Bytes> at_b = local_b.read_file(path);
+    peer << path << " #" << (at_b ? fnv1a(*at_b) : 0) << "\n";
+  }
+  digest.peer = peer.str();
+
+  digest.uploaded = client_a.records_uploaded() + client_b.records_uploaded();
+  digest.forwards = client_a.forwards_applied() + client_b.forwards_applied();
+  digest.conflicts = client_a.conflicts_acked() + client_b.conflicts_acked();
+  digest.errors = client_a.errors_acked() + client_b.errors_acked();
+  return digest;
+}
+
+/// End-to-end determinism: full DeltaCFS stacks differing only in
 /// `delta_threads` must produce identical cloud state, traffic and client
-/// CPU accounting.
+/// CPU accounting on a large-file rewrite, and identical cloud state, peer
+/// view and client counts on the two-client mixed workload.
 TEST(ClientParallelEquivalenceTest, ThreadCountDoesNotChangeObservables) {
   const auto run = [](std::uint32_t threads) {
     VirtualClock clock;
@@ -509,6 +652,21 @@ TEST(ClientParallelEquivalenceTest, ThreadCountDoesNotChangeObservables) {
     EXPECT_EQ(cloud, cloud1) << label;
     EXPECT_EQ(up, up1) << label;
     EXPECT_EQ(units, units1) << label;
+  }
+
+  const MixedDigest mixed1 = run_mixed_workload(1);
+  ASSERT_EQ(mixed1.errors, 0u);
+  ASSERT_GT(mixed1.forwards, 0u);
+  ASSERT_FALSE(mixed1.state.empty());
+  for (const std::uint32_t threads : {2u, 4u}) {
+    const MixedDigest mixed = run_mixed_workload(threads);
+    const std::string label = "mixed threads=" + std::to_string(threads);
+    EXPECT_EQ(mixed.state, mixed1.state) << label;
+    EXPECT_EQ(mixed.peer, mixed1.peer) << label;
+    EXPECT_EQ(mixed.uploaded, mixed1.uploaded) << label;
+    EXPECT_EQ(mixed.forwards, mixed1.forwards) << label;
+    EXPECT_EQ(mixed.conflicts, mixed1.conflicts) << label;
+    EXPECT_EQ(mixed.errors, 0u) << label;
   }
 }
 

@@ -10,7 +10,7 @@
 //      and on sparse edits the recursive negotiation moves fewer bytes
 //      than the classic whole-file signature;
 //   3. ReconRequest/ReconResponse codec round-trips and truncation safety;
-//   4. end-to-end equivalence across threads x shards x wire x mode: the
+//   4. end-to-end equivalence across threads x shards x mode: the
 //      server's final state is byte-identical whether a large full-file
 //      upload is shipped whole, reconciled in one classic round, or
 //      reconciled recursively — and the recursive wire bill is smaller.
@@ -552,7 +552,7 @@ void drain(DeltaCfsSystem& system, VirtualClock& clock) {
   system.tick(clock.now());
 }
 
-ClientConfig recon_config(ReconMode mode, bool wire, std::uint32_t threads) {
+ClientConfig recon_config(ReconMode mode, std::uint32_t threads) {
   ClientConfig config;
   config.recon_mode = mode;
   config.recon_min_bytes = 256 * 1024;
@@ -561,14 +561,12 @@ ClientConfig recon_config(ReconMode mode, bool wire, std::uint32_t threads) {
   config.recon.min_average = 8 * 1024;
   config.recon.block_size = 4096;
   config.delta_threads = threads;
-  config.wire_compression = wire;
   return config;
 }
 
-ServerConfig recon_server_config(bool wire, std::size_t shards) {
+ServerConfig recon_server_config(std::size_t shards) {
   ServerConfig config;
   config.apply_shards = shards;
-  config.wire_compression = wire;
   return config;
 }
 
@@ -584,17 +582,33 @@ struct ScenarioOut {
   std::uint64_t meter_recon_messages = 0;
 };
 
+/// "t<threads>s<shards>".  Built with append: GCC 12 at -O3 raises a false
+/// -Wrestrict on operator+ chains that start from a temporary string.
+std::string config_label(std::uint32_t threads, std::size_t shards) {
+  std::string label = "t";
+  label.append(std::to_string(threads)).append("s");
+  return label.append(std::to_string(shards));
+}
+
+/// config_label plus "m<mode>": one scenario run's key.
+std::string scenario_key(std::uint32_t threads, std::size_t shards,
+                         ReconMode mode) {
+  return config_label(threads, shards)
+      .append("m")
+      .append(std::to_string(static_cast<int>(mode)));
+}
+
 /// The full_file trigger: a file the server already holds is overwritten by
 /// renaming new content in from outside the sync scope — the rename-into-
 /// scope path uploads whole content, which is exactly what reconciliation
 /// negotiates away.
 ScenarioOut run_overwrite_scenario(const Bytes& base, const Bytes& edited,
-                                   ReconMode mode, bool wire,
-                                   std::uint32_t threads, std::size_t shards) {
+                                   ReconMode mode, std::uint32_t threads,
+                                   std::size_t shards) {
   VirtualClock clock;
   DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
-                        recon_config(mode, wire, threads), CostProfile::pc(),
-                        nullptr, recon_server_config(wire, shards));
+                        recon_config(mode, threads), CostProfile::pc(),
+                        nullptr, recon_server_config(shards));
   FileSystem& fs = system.fs();
   fs.mkdir("/sync");
   fs.mkdir("/stash");
@@ -624,7 +638,7 @@ ScenarioOut run_overwrite_scenario(const Bytes& base, const Bytes& edited,
   return out;
 }
 
-TEST(ReconE2e, EquivalenceAcrossThreadsShardsWireAndMode) {
+TEST(ReconE2e, EquivalenceAcrossThreadsShardsAndMode) {
   Rng rng(6100);
   const Bytes base = rng.bytes(2 * 1024 * 1024);
   Bytes edited = base;
@@ -637,42 +651,38 @@ TEST(ReconE2e, EquivalenceAcrossThreadsShardsWireAndMode) {
   std::map<std::string, ScenarioOut> runs;
   for (const std::uint32_t threads : {1u, 4u}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-      for (const bool wire : {false, true}) {
-        for (const ReconMode mode :
-             {ReconMode::off, ReconMode::classic, ReconMode::recursive}) {
-          const std::string key =
-              "t" + std::to_string(threads) + "s" + std::to_string(shards) +
-              "w" + std::to_string(wire) + "m" +
-              std::to_string(static_cast<int>(mode));
-          const ScenarioOut out =
-              run_overwrite_scenario(base, edited, mode, wire, threads, shards);
-          // The golden invariant: identical server state in every config.
-          ASSERT_EQ(out.cloud.size(), edited.size()) << key;
-          EXPECT_TRUE(std::equal(out.cloud.begin(), out.cloud.end(),
-                                 edited.begin()))
-              << key;
-          if (mode == ReconMode::off) {
-            EXPECT_EQ(out.sessions, 0u) << key;
-            EXPECT_EQ(out.meter_recon_bytes, 0u) << key;
-          } else {
-            EXPECT_GE(out.sessions, 1u) << key;
-            EXPECT_EQ(out.fallbacks, 0u) << key;
-          }
-          runs.emplace(key, out);
+      for (const ReconMode mode :
+           {ReconMode::off, ReconMode::classic, ReconMode::recursive}) {
+        const std::string key = scenario_key(threads, shards, mode);
+        const ScenarioOut out =
+            run_overwrite_scenario(base, edited, mode, threads, shards);
+        // The golden invariant: identical server state in every config.
+        ASSERT_EQ(out.cloud.size(), edited.size()) << key;
+        EXPECT_TRUE(std::equal(out.cloud.begin(), out.cloud.end(),
+                               edited.begin()))
+            << key;
+        if (mode == ReconMode::off) {
+          EXPECT_EQ(out.sessions, 0u) << key;
+          EXPECT_EQ(out.meter_recon_bytes, 0u) << key;
+        } else {
+          EXPECT_GE(out.sessions, 1u) << key;
+          EXPECT_EQ(out.fallbacks, 0u) << key;
         }
+        runs.emplace(key, out);
       }
     }
   }
 
-  // Wire bill (uncompressed configs, exact): recursive negotiation must be
-  // well under the classic whole-file signature, and under the classic
-  // mode's measured recon traffic.
+  // Wire bill (exact): recursive negotiation must be well under the
+  // classic whole-file signature, and under the classic mode's measured
+  // recon traffic.
   for (const std::uint32_t threads : {1u, 4u}) {
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-      const std::string stem =
-          "t" + std::to_string(threads) + "s" + std::to_string(shards) + "w0";
-      const ScenarioOut& classic = runs.at(stem + "m1");
-      const ScenarioOut& recursive = runs.at(stem + "m2");
+      const std::string stem = config_label(threads, shards);
+      const ScenarioOut& classic =
+          runs.at(scenario_key(threads, shards, ReconMode::classic));
+      const ScenarioOut& recursive =
+          runs.at(scenario_key(threads, shards, ReconMode::recursive));
       EXPECT_GE(classic.recon_down, classic_signature) << stem;
       EXPECT_LT(recursive.recon_up + recursive.recon_down,
                 (classic.recon_up + classic.recon_down) / 2)
@@ -702,9 +712,9 @@ TEST(ReconE2e, TombstoneRevivalReconciles) {
 
   VirtualClock clock;
   DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
-                        recon_config(ReconMode::recursive, false, 1),
+                        recon_config(ReconMode::recursive, 1),
                         CostProfile::pc(), nullptr,
-                        recon_server_config(false, 1));
+                        recon_server_config(1));
   FileSystem& fs = system.fs();
   fs.mkdir("/sync");
   fs.mkdir("/stash");
@@ -736,9 +746,9 @@ TEST(ReconE2e, UnknownBaseFallsBackToFullUpload) {
 
   VirtualClock clock;
   DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
-                        recon_config(ReconMode::recursive, false, 1),
+                        recon_config(ReconMode::recursive, 1),
                         CostProfile::pc(), nullptr,
-                        recon_server_config(false, 1));
+                        recon_server_config(1));
   FileSystem& fs = system.fs();
   fs.mkdir("/sync");
   fs.mkdir("/stash");
@@ -764,13 +774,13 @@ TEST(ReconE2e, UnrelatedSmallOpsFlowWhileReconIsInFlight) {
   Bytes edited = base;
   for (std::size_t i = 0; i < 64; ++i) edited[i * 65'536] ^= 0x5a;
 
-  ClientConfig config = recon_config(ReconMode::recursive, false, 1);
+  ClientConfig config = recon_config(ReconMode::recursive, 1);
   config.recon.fanout = 2;           // deeper narrowing: more rounds,
   config.recon.min_average = 4096;   // a wider in-flight window to observe
   VirtualClock clock;
   DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::mobile_wan(),
                         config, CostProfile::pc(), nullptr,
-                        recon_server_config(false, 1));
+                        recon_server_config(1));
   FileSystem& fs = system.fs();
   fs.mkdir("/sync");
   fs.mkdir("/stash");
@@ -813,8 +823,8 @@ TEST(ReconE2e, RandomOpsUnaffectedByReconMode) {
   for (const ReconMode mode : {ReconMode::off, ReconMode::recursive}) {
     VirtualClock clock;
     DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
-                          recon_config(mode, false, 1), CostProfile::pc(),
-                          nullptr, recon_server_config(false, 1));
+                          recon_config(mode, 1), CostProfile::pc(),
+                          nullptr, recon_server_config(1));
     FileSystem& fs = system.fs();
     fs.mkdir("/sync");
     Rng rng(6400);

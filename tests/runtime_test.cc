@@ -2,7 +2,7 @@
 // tentpole guarantee of the async runtime: with bounded-window chunk
 // streaming on, server state, version histories, peer views and ack
 // effects are byte-identical to the serial one-record pump at every
-// thread count, shard count, and wire setting — while client memory for a
+// thread count and shard count — while client memory for a
 // streamed file stays O(window), and small interactive ops keep flowing
 // around an in-flight bulk stream.
 #include <gtest/gtest.h>
@@ -249,7 +249,6 @@ struct StreamE2eConfig {
   bool streaming = false;
   std::uint32_t delta_threads = 1;
   std::size_t apply_shards = 1;
-  bool wire = false;
 };
 
 struct E2eDigest {
@@ -274,14 +273,12 @@ E2eDigest run_stream_e2e(const StreamE2eConfig& cfg) {
 
   ServerConfig server_config;
   server_config.apply_shards = cfg.apply_shards;
-  server_config.wire_compression = cfg.wire;
   CloudServer server(CostProfile::pc(), server_config);
 
   auto client_config = [&cfg](std::uint32_t id) {
     ClientConfig config;
     config.client_id = id;
     config.delta_threads = cfg.delta_threads;
-    config.wire_compression = cfg.wire;
     if (cfg.streaming) {
       config.stream_window_bytes = 16 * 1024;
       config.stream_chunk_bytes = 4 * 1024;
@@ -400,25 +397,21 @@ TEST(StreamingEndToEnd, IdenticalToSerialPumpAcrossTheMatrix) {
   ASSERT_GT(baseline.forwards, 0u);
   ASSERT_FALSE(baseline.state.empty());
 
-  for (const bool wire : {false, true}) {
-    for (const std::uint32_t threads : {1u, 4u}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
-        StreamE2eConfig cfg;
-        cfg.streaming = true;
-        cfg.wire = wire;
-        cfg.delta_threads = threads;
-        cfg.apply_shards = shards;
-        const E2eDigest streamed = run_stream_e2e(cfg);
-        const std::string label = "wire=" + std::to_string(wire) +
-                                  " threads=" + std::to_string(threads) +
-                                  " shards=" + std::to_string(shards);
-        EXPECT_GT(streamed.streams, 0u) << label;
-        EXPECT_EQ(streamed.state, baseline.state) << label;
-        EXPECT_EQ(streamed.peer, baseline.peer) << label;
-        EXPECT_EQ(streamed.uploaded, baseline.uploaded) << label;
-        EXPECT_EQ(streamed.forwards, baseline.forwards) << label;
-        EXPECT_EQ(streamed.errors, 0u) << label;
-      }
+  for (const std::uint32_t threads : {1u, 4u}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      StreamE2eConfig cfg;
+      cfg.streaming = true;
+      cfg.delta_threads = threads;
+      cfg.apply_shards = shards;
+      const E2eDigest streamed = run_stream_e2e(cfg);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " shards=" + std::to_string(shards);
+      EXPECT_GT(streamed.streams, 0u) << label;
+      EXPECT_EQ(streamed.state, baseline.state) << label;
+      EXPECT_EQ(streamed.peer, baseline.peer) << label;
+      EXPECT_EQ(streamed.uploaded, baseline.uploaded) << label;
+      EXPECT_EQ(streamed.forwards, baseline.forwards) << label;
+      EXPECT_EQ(streamed.errors, 0u) << label;
     }
   }
 }

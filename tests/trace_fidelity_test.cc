@@ -209,10 +209,8 @@ TEST(TraceFidelityTest, TracedSyncValidatesAcrossThreadingMatrix) {
       obs.tracer.enable(clock);
       ClientConfig config;
       config.delta_threads = delta_threads;
-      config.wire_compression = true;
       ServerConfig server_config;
       server_config.apply_shards = apply_shards;
-      server_config.wire_compression = true;
       DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
                             config, CostProfile::pc(), &obs, server_config);
       system.fs().mkdir("/sync");

@@ -2,9 +2,9 @@
 """bench_compare — perf-regression gate over the BENCH_*.json artifacts.
 
 Compares freshly produced bench output (throughput_wall, server_scale,
-wire_compression, recon_scale, stream_scale, and the paper figures fig8,
-fig9 and table2) against the committed baselines in bench/baselines/ and
-fails when a metric regressed beyond its tolerance band.
+recon_scale, stream_scale, and the paper figures fig8, fig9 and table2)
+against the committed baselines in bench/baselines/ and fails when a
+metric regressed beyond its tolerance band.
 
 Two metric classes:
 
@@ -90,17 +90,6 @@ SPECS = {
             "down_bytes": ("exact", 0.0),
             "client_ticks": ("exact", 0.0),
             "server_ticks": ("exact", 0.0),
-        },
-    },
-    "BENCH_wire.json": {
-        "key": ("trace", "profile"),
-        "metrics": {
-            "up_bytes_plain": ("exact", 0.0),
-            "up_bytes_wire": ("exact", 0.0),
-            "reduction": ("exact", 0.0),
-            "skipped_frames": ("exact", 0.0),
-            "pool_hit_rate": ("exact", 0.0),
-            "mb_per_sec": ("floor", 0.50),
         },
     },
 }
