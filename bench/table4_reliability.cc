@@ -5,19 +5,49 @@
 //   Dropbox                    upload      upload/omit    N
 //   Seafile                    upload      upload/omit    N
 //   DeltaCFS                   detect      detect         Y
+//
+// --trace-out=<file> records the three DeltaCFS runs, one trace process
+// each, and writes their Chrome trace JSON at exit.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "baselines/deltacfs_system.h"
 #include "baselines/dropbox_sim.h"
 #include "baselines/seafile_sim.h"
 #include "common/rng.h"
+#include "harness.h"
 #include "trace/workloads.h"
 
 namespace {
 
 using namespace dcfs;
+
+/// Records one DeltaCFS run into the bench-wide tracer as its own trace
+/// process, from construction to destruction; a no-op without --trace-out.
+/// Declare it before the system it traces, so tracing stops after the
+/// system is gone.
+class TracedRun {
+ public:
+  TracedRun(const Clock& clock, const char* name) {
+    if (obs_ == nullptr) return;
+    static std::uint32_t next_pid = 1;
+    obs_->tracer.set_process(next_pid++,
+                             std::string("DeltaCFS / ").append(name));
+    obs_->tracer.enable(clock);
+  }
+  ~TracedRun() {
+    if (obs_ != nullptr) obs_->tracer.disable();
+  }
+  TracedRun(const TracedRun&) = delete;
+  TracedRun& operator=(const TracedRun&) = delete;
+
+  [[nodiscard]] obs::Obs* obs() const noexcept { return obs_; }
+
+ private:
+  obs::Obs* obs_ = bench::shared_obs();
+};
 
 void pump(SyncSystem& system, VirtualClock& clock, Duration duration) {
   for (Duration t = 0; t < duration; t += milliseconds(200)) {
@@ -123,7 +153,9 @@ bool order_is_causal(const std::vector<std::string>& arrivals,
 
 const char* causal_verdict_deltacfs() {
   VirtualClock clock;
-  DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan());
+  const TracedRun traced(clock, "causal order");
+  DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(), {},
+                        CostProfile::pc(), traced.obs());
   system.fs().mkdir("/sync");
   PhotoThumbWorkload workload{PhotoThumbParams{}};
   run_workload(workload, system, clock);
@@ -145,7 +177,8 @@ const char* causal_verdict_watcherbased(Sim& sim, VirtualClock& clock) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bench::parse_common_flags(argc, argv);
   std::printf("=== Table IV: reliability tests ===\n\n");
   std::printf("%-10s %12s %14s %8s\n", "Service", "Corrupted", "Inconsistent",
               "Causal");
@@ -187,17 +220,24 @@ int main() {
   {
     ClientConfig config;
     config.enable_checksums = true;
-    VirtualClock clock;
-    DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
-                          config);
-    system.fs().mkdir("/sync");
-    const char* corrupted = corruption_verdict_deltacfs(system, clock);
-
-    VirtualClock clock2;
-    DeltaCfsSystem system2(clock2, CostProfile::pc(), NetProfile::pc_wan(),
-                           config);
-    system2.fs().mkdir("/sync");
-    const char* inconsistent = inconsistency_verdict_deltacfs(system2, clock2);
+    const char* corrupted = nullptr;
+    {
+      VirtualClock clock;
+      const TracedRun traced(clock, "corruption");
+      DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
+                            config, CostProfile::pc(), traced.obs());
+      system.fs().mkdir("/sync");
+      corrupted = corruption_verdict_deltacfs(system, clock);
+    }
+    const char* inconsistent = nullptr;
+    {
+      VirtualClock clock;
+      const TracedRun traced(clock, "crash inconsistency");
+      DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(),
+                            config, CostProfile::pc(), traced.obs());
+      system.fs().mkdir("/sync");
+      inconsistent = inconsistency_verdict_deltacfs(system, clock);
+    }
 
     std::printf("%-10s %12s %14s %8s\n", "DeltaCFS", corrupted, inconsistent,
                 causal_verdict_deltacfs());

@@ -44,7 +44,6 @@ void print_help() {
       "  trace [file]               span summary, or Chrome JSON to <file>\n"
       "  critpath                   per-sync stage breakdown (p50/p95/p99)\n"
       "  recon                      reconciliation session/round/byte stats\n"
-      "  rt                         reactor queue depths and stream state\n"
       "  chk [file]                 lock-order graph as Graphviz DOT\n"
       "  help | quit\n");
 }
@@ -68,11 +67,6 @@ int main() {
   // lowered so `recon` has something to show in hand-driven sessions.
   config.recon_mode = ReconMode::adaptive;
   config.recon_min_bytes = 64 * 1024;
-  // Bounded-window chunk streaming (dcfs::rt).  Reconciliation outranks
-  // streaming for files over its threshold, so the stream floor sits below
-  // it: renamed-in files of 16-64 KiB chunk-stream, bigger ones negotiate.
-  config.stream_window_bytes = 8 * 1024;
-  config.stream_min_bytes = 16 * 1024;
   ServerConfig server_config;
   server_config.apply_shards = 2;  // exercise the sharded apply pipeline
   DeltaCfsSystem system(clock, CostProfile::pc(), NetProfile::pc_wan(), config,
@@ -257,42 +251,6 @@ int main() {
       std::printf("server     : %llu shingle/signature queries answered\n",
                   static_cast<unsigned long long>(
                       system.server().recon_queries()));
-    } else if (cmd == "rt") {
-      // The reactor's readiness queues (interactive metadata ops preempt
-      // bulk stream pumps) and the bounded-window streaming state.
-      const DeltaCfsClient& client = system.client();
-      const rt::Reactor& reactor = client.reactor();
-      std::printf("reactor    : %zu queued (%zu interactive, %zu bulk), "
-                  "%llu tasks run, %zu timer(s) armed\n",
-                  reactor.queue_depth(),
-                  reactor.queue_depth(rt::TaskClass::interactive),
-                  reactor.queue_depth(rt::TaskClass::bulk),
-                  static_cast<unsigned long long>(reactor.tasks_run()),
-                  reactor.timers().pending());
-      for (rt::ConnId conn = 0; conn < reactor.connections(); ++conn) {
-        std::printf("  conn %zu   : '%s' %zu queued\n", conn,
-                    reactor.connection_name(conn).c_str(),
-                    reactor.queue_depth(conn));
-      }
-      std::printf("streams    : %llu started, %zu in flight, %zu deferred "
-                  "behind a stream/recon class\n",
-                  static_cast<unsigned long long>(client.streams_started()),
-                  client.streams_in_flight(), client.deferred_pending());
-      std::printf("window     : %llu bytes (chunk %llu, floor %llu); "
-                  "tracked-buffer high-water %llu bytes, %llu stall(s)\n",
-                  static_cast<unsigned long long>(config.stream_window_bytes),
-                  static_cast<unsigned long long>(config.stream_chunk_bytes),
-                  static_cast<unsigned long long>(config.stream_min_bytes),
-                  static_cast<unsigned long long>(
-                      client.stream_mem_highwater()),
-                  static_cast<unsigned long long>(client.stream_stalls()));
-      std::printf("server     : %llu stream(s) opened, %llu chunk(s) "
-                  "staged, %zu active\n",
-                  static_cast<unsigned long long>(
-                      system.server().streams_opened()),
-                  static_cast<unsigned long long>(
-                      system.server().stream_chunks()),
-                  system.server().streams_active());
     } else if (cmd == "chk") {
       // The lock-order graph observed so far: every chk::Mutex class this
       // process acquired, with the nesting edges lockdep recorded.  Empty

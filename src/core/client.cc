@@ -1,6 +1,7 @@
 #include "core/client.h"
 
 #include <algorithm>
+#include <deque>
 #include <utility>
 
 #include "compress/lz.h"
@@ -15,7 +16,7 @@ namespace {
 constexpr std::uint8_t kFrameAck = 1;
 constexpr std::uint8_t kFrameRecord = 2;
 constexpr std::uint8_t kFrameRecon = 3;
-constexpr std::uint8_t kFrameCredit = 4;
+// 4 (the retired chunk-stream credit) is reserved; the client ignores it.
 
 /// Delta::wire_size() of a delta against an empty base: the 24-byte header
 /// plus one literal command's 5-byte header; the literal is the file.
@@ -45,9 +46,7 @@ DeltaCfsClient::DeltaCfsClient(FileSystem& local, Transport& transport,
       config_(std::move(config)),
       queue_(config_.upload_delay, config_.causality,
              config_.snapshot_interval),
-      relations_(config_.relation_timeout),
-      reactor_(clock.now(), obs) {
-  conn_ = reactor_.add_connection("cloud");
+      relations_(config_.relation_timeout) {
   config_.sync_root = path::normalize(config_.sync_root);
   config_.tmp_dir = path::normalize(config_.tmp_dir);
   if (obs != nullptr) {
@@ -61,7 +60,7 @@ DeltaCfsClient::DeltaCfsClient(FileSystem& local, Transport& transport,
     tn_.ack = tracer_->intern("client.ack");
     tn_.recon_round = tracer_->intern("client.recon_round");
     for (std::size_t k = static_cast<std::size_t>(proto::OpKind::create);
-         k <= static_cast<std::size_t>(proto::OpKind::stream_commit); ++k) {
+         k <= static_cast<std::size_t>(proto::OpKind::recon_query); ++k) {
       tn_.kind[k] =
           tracer_->intern(proto::to_string(static_cast<proto::OpKind>(k)));
     }
@@ -83,8 +82,6 @@ DeltaCfsClient::DeltaCfsClient(FileSystem& local, Transport& transport,
     stats_.recon_rounds = &reg.counter("net.recon.rounds");
     stats_.recon_saved = &reg.counter("net.recon.sig_bytes_saved");
     stats_.recon_fallbacks = &reg.counter("net.recon.fallbacks");
-    stats_.stream_stalls = &reg.counter("rt.backpressure.stalls");
-    ledger_.attach_gauge(&reg.gauge("rt.mem.highwater"));
     stats_.record_bytes =
         &reg.histogram("client.upload.record_bytes", obs::default_bytes_bounds());
   }
@@ -378,14 +375,10 @@ void DeltaCfsClient::note_rename(std::string_view raw_from,
     SyncNode node;
     node.kind = proto::OpKind::full_file;
     node.path = to;
-    const Result<FileStat> st = local_.stat(to);
-    if (!(st && stream_eligible(node.kind, st->size) &&
-          spill_snapshot(node, to, st->size))) {
-      Result<Bytes> content = local_.read_file(to);
-      if (!content) return;
-      meter_.charge(CostKind::disk_read, content->size());
-      node.payload = std::move(*content);
-    }
+    Result<Bytes> content = local_.read_file(to);
+    if (!content) return;
+    meter_.charge(CostKind::disk_read, content->size());
+    node.payload = std::move(*content);
     assign_versions(node, to);
     queue_.enqueue(std::move(node), clock_.now());
     recently_modified_.insert(to);
@@ -805,24 +798,20 @@ void DeltaCfsClient::tick(TimePoint now) {
 
   upload_ready(now, /*flush_all=*/false);
 
-  // Downstream frames dispatch on the reactor's interactive lane (FIFO per
-  // lane, so per-frame order is exactly the pre-reactor loop's): metadata
-  // acks / forwards / recon answers preempt the bulk stream pumps that the
-  // credit handler re-arms below.
-  while (auto frame = transport_.client_poll()) {
-    const std::uint64_t frame_bytes = frame->size();
-    meter_.charge(CostKind::net_frame, frame->size());
-    meter_.charge(CostKind::encrypt, frame->size());
-    if (frame->empty()) continue;
-    reactor_.make_ready(conn_, rt::TaskClass::interactive,
-                        [this, frame_bytes, body = std::move(*frame)]() mutable {
-                          dispatch_frame(std::move(body), frame_bytes);
-                        });
+  // Every pending downstream frame is received (and charged) before the
+  // first one dispatches; dispatch then runs in arrival order.
+  std::deque<Bytes> frames = transport_.client_poll_all();
+  for (const Bytes& frame : frames) {
+    meter_.charge(CostKind::net_frame, frame.size());
+    meter_.charge(CostKind::encrypt, frame.size());
   }
-  reactor_.poll(now);
+  for (Bytes& frame : frames) {
+    if (!frame.empty()) dispatch_frame(std::move(frame));
+  }
 }
 
-void DeltaCfsClient::dispatch_frame(Bytes frame, std::uint64_t frame_bytes) {
+void DeltaCfsClient::dispatch_frame(Bytes frame) {
+  const std::uint64_t frame_bytes = frame.size();
   const std::uint8_t tag = frame[0];
   const ByteSpan body{frame.data() + 1, frame.size() - 1};
   if (tag == kFrameAck) {
@@ -838,11 +827,6 @@ void DeltaCfsClient::dispatch_frame(Bytes frame, std::uint64_t frame_bytes) {
             proto::decode_recon_response(body)) {
       handle_recon_response(*response, frame_bytes);
     }
-  } else if (tag == kFrameCredit) {
-    if (Result<proto::StreamCredit> credit =
-            proto::decode_stream_credit(body)) {
-      handle_stream_credit(*credit);
-    }
   }
 }
 
@@ -853,11 +837,7 @@ void DeltaCfsClient::flush(TimePoint now) {
     if (checksums_) checksums_->on_unlink(entry.dst);
     preserved_versions_.erase(entry.dst);
   });
-  // Open streams drain to completion first, ignoring window credit (the
-  // experiment is over), so same-path deferred nodes can ship below.
-  finish_streams();
   upload_ready(now, /*flush_all=*/true);
-  reactor_.poll(now);
 }
 
 void DeltaCfsClient::upload_ready(TimePoint now, bool flush_all) {
@@ -876,18 +856,15 @@ void DeltaCfsClient::upload_ready(TimePoint now, bool flush_all) {
                      });
   }
 
-  // Paths claimed by an in-flight recon session or open stream: a later
-  // node for the same path must not reach the server ahead of the
-  // session's final record.  Unrelated paths keep flowing — a recon or
-  // stream never pauses the whole queue.
+  // Paths claimed by an in-flight recon session: a later node for the
+  // same path must not reach the server ahead of the session's final
+  // record.  Unrelated paths keep flowing — a recon never pauses the whole
+  // queue.
   std::set<std::string, std::less<>> blocked_paths;
   std::set<std::uint64_t> blocked_groups;
   for (const auto& [id, session] : recon_sessions_) {
     blocked_paths.insert(session.node.path);
     if (!session.node.path2.empty()) blocked_paths.insert(session.node.path2);
-  }
-  for (const auto& [id, stream] : out_streams_) {
-    blocked_paths.insert(stream.node.path);
   }
 
   obs::Span batch(tracer_, tn_.upload_batch);
@@ -908,12 +885,11 @@ void DeltaCfsClient::upload_ready(TimePoint now, bool flush_all) {
     const std::string path = node.path;
     const std::string path2 = node.path2;
     const std::uint64_t group = node.txn_group;
-    const std::size_t sessions_before =
-        recon_sessions_.size() + out_streams_.size();
+    const std::size_t sessions_before = recon_sessions_.size();
     upload_node(std::move(node));
-    if (recon_sessions_.size() + out_streams_.size() > sessions_before) {
-      // The upload opened a recon session or stream for this path: later
-      // same-batch nodes for it park behind it.
+    if (recon_sessions_.size() > sessions_before) {
+      // The upload opened a recon session for this path: later same-batch
+      // nodes for it park behind it.
       blocked_paths.insert(path);
       if (!path2.empty()) blocked_paths.insert(path2);
       if (group != 0) blocked_groups.insert(group);
@@ -922,17 +898,7 @@ void DeltaCfsClient::upload_ready(TimePoint now, bool flush_all) {
 }
 
 void DeltaCfsClient::upload_node(SyncNode node, bool allow_recon) {
-  if (quarantine_.contains(node.path)) {  // never upload damaged data
-    if (!node.spill_path.empty()) local_.unlink(node.spill_path);
-    return;
-  }
-
-  if (node.spill_size > 0) {
-    // Spilled full-content node: ship it as a bounded-window chunk stream
-    // instead of materializing the payload in one record.
-    start_stream(std::move(node));
-    return;
-  }
+  if (quarantine_.contains(node.path)) return;  // never upload damaged data
 
   if (allow_recon && recon_eligible(node)) {
     start_recon(std::move(node));
@@ -1193,222 +1159,6 @@ void DeltaCfsClient::recon_fallback(ReconSession& session) {
   upload_node(std::move(session.node), /*allow_recon=*/false);
 }
 
-// ---------------------------------------------------------------------------
-// Bounded-window chunk streaming (dcfs::rt)
-// ---------------------------------------------------------------------------
-
-bool DeltaCfsClient::stream_eligible(proto::OpKind kind,
-                                     std::uint64_t size) const {
-  if (config_.stream_window_bytes == 0) return false;
-  if (kind != proto::OpKind::full_file) return false;
-  if (size < config_.stream_min_bytes) return false;
-  // Recon-bound nodes keep their in-memory payload: the negotiation spans
-  // the full target bytes, and recon already bounds what hits the wire.
-  if (config_.recon_mode != ReconMode::off &&
-      size >= config_.recon_min_bytes) {
-    return false;
-  }
-  return true;
-}
-
-bool DeltaCfsClient::spill_snapshot(SyncNode& node, const std::string& path,
-                                    std::uint64_t size) {
-  ensure_tmp_dir();
-  Result<FileHandle> src = local_.open(path);
-  if (!src) return false;
-  const std::string spill =
-      config_.tmp_dir + "/s" + std::to_string(++stream_spill_counter_);
-  Result<FileHandle> dst = local_.create(spill);
-  if (!dst) {
-    local_.close(*src);
-    return false;
-  }
-  // Chunk-by-chunk copy: the queue never holds more than one chunk of the
-  // file in memory — the O(window) bound starts here, not at the wire, so
-  // the chunk is clamped to the window even if the knobs disagree.
-  const std::uint64_t chunk = stream_chunk_size();
-  std::uint64_t copied = 0;
-  bool ok = true;
-  while (copied < size) {
-    const std::uint64_t want = std::min(chunk, size - copied);
-    Result<Bytes> data = local_.read(*src, copied, want);
-    if (!data || data->size() != want) {  // shrank mid-copy: fall back
-      ok = false;
-      break;
-    }
-    meter_.charge(CostKind::disk_read, data->size());
-    ledger_.acquire(data->size());
-    const Status written = local_.write(*dst, copied, *data);
-    meter_.charge(CostKind::disk_write, data->size());
-    ledger_.release(data->size());
-    if (!written.is_ok()) {
-      ok = false;
-      break;
-    }
-    copied += want;
-  }
-  local_.close(*src);
-  local_.close(*dst);
-  if (!ok) {
-    local_.unlink(spill);
-    return false;
-  }
-  node.spill_path = spill;
-  node.spill_size = size;
-  return true;
-}
-
-void DeltaCfsClient::start_stream(SyncNode node) {
-  if (stages_ != nullptr) {
-    stages_->record(obs::Stage::queue_wait,
-                    static_cast<std::uint64_t>(
-                        clock_.now() - node.enqueue_time));
-  }
-
-  const std::uint64_t id = node.seq;
-  OutStream stream;
-  stream.id = id;
-  stream.total = node.spill_size;
-  stream.credit = rt::CreditGate(config_.stream_window_bytes);
-  stream.node = std::move(node);
-  ++streams_started_;
-
-  OutStream& live = out_streams_.emplace(id, std::move(stream)).first->second;
-  proto::SyncRecord open;
-  open.sequence = id;
-  open.kind = proto::OpKind::stream_open;
-  open.path = live.node.path;
-  open.base_version = live.node.base_version;
-  open.new_version = live.node.new_version;
-  open.base_deleted = live.node.base_deleted;
-  open.offset = config_.stream_window_bytes;  // advertised window
-  open.size = live.total;
-  obs::observe(stats_.record_bytes,
-               send_frame(open, proto::MessageType::stream));
-
-  // The first window pumps on the reactor's bulk lane: interactive work
-  // already queued this tick dispatches first.
-  reactor_.make_ready(conn_, rt::TaskClass::bulk, [this, id] {
-    if (const auto it = out_streams_.find(id); it != out_streams_.end()) {
-      pump_stream(it->second, /*draining=*/false);
-    }
-  });
-}
-
-void DeltaCfsClient::pump_stream(OutStream& stream, bool draining) {
-  Result<FileHandle> fh = local_.open(stream.node.spill_path);
-  if (!fh) {
-    // The spill vanished (should not happen): abort the stream.  The
-    // server's staged bytes expire with the missing commit.
-    ledger_.release(stream.unacked);
-    out_streams_.erase(stream.id);
-    return;
-  }
-  bool starved = false;
-  while (stream.sent < stream.total) {
-    const std::uint64_t want =
-        std::min(stream_chunk_size(), stream.total - stream.sent);
-    const std::uint64_t granted =
-        draining ? want : stream.credit.consume(want);
-    if (granted == 0) {
-      starved = true;
-      break;
-    }
-    Result<Bytes> data = local_.read(*fh, stream.sent, granted);
-    if (!data || data->size() != granted) break;  // retry next pump
-    meter_.charge(CostKind::disk_read, data->size());
-    ledger_.acquire(data->size());
-    stream.unacked += data->size();
-
-    proto::SyncRecord chunk;
-    chunk.sequence = stream.id;
-    chunk.kind = proto::OpKind::stream_chunk;
-    chunk.path = stream.node.path;
-    chunk.offset = stream.sent;
-    chunk.size = stream.chunk_seq;  // ordinal, for reorder detection
-    chunk.payload = std::move(*data);
-    obs::observe(stats_.record_bytes,
-                 send_frame(chunk, proto::MessageType::stream));
-    stream.sent += granted;
-    ++stream.chunk_seq;
-    if (draining) {
-      // No credit comes back on the drain path: the frame left with the
-      // transport, release the tracked bytes right away.
-      ledger_.release(granted);
-      stream.unacked -= granted;
-    }
-  }
-  local_.close(*fh);
-  if (starved) {
-    if (!stream.stalled) {
-      stream.stalled = true;
-      stream.stall_start = clock_.now();
-      ++stream_stalls_;
-      obs::inc(stats_.stream_stalls);
-    }
-    return;
-  }
-  if (stream.sent >= stream.total) finish_stream(stream);
-}
-
-void DeltaCfsClient::finish_stream(OutStream& stream) {
-  obs::Span span(tracer_, tn_.upload, kind_cat(proto::OpKind::stream_commit));
-  proto::SyncRecord commit;
-  commit.sequence = stream.id;
-  commit.kind = proto::OpKind::stream_commit;
-  commit.path = stream.node.path;
-  commit.path2 = stream.node.path2;
-  commit.size = stream.total;
-  commit.base_version = stream.node.base_version;
-  commit.new_version = stream.node.new_version;
-  commit.txn_group = stream.node.txn_group;
-  commit.txn_last = stream.node.txn_last;
-  commit.base_deleted = stream.node.base_deleted;
-  upload_record(commit, proto::MessageType::stream);
-  local_.unlink(stream.node.spill_path);
-  ledger_.release(stream.unacked);
-  out_streams_.erase(stream.id);  // `stream` is dead past this line
-}
-
-void DeltaCfsClient::finish_streams() {
-  // Collect ids first: pump_stream erases the entry at commit.
-  std::vector<std::uint64_t> ids;
-  ids.reserve(out_streams_.size());
-  for (const auto& [id, stream] : out_streams_) ids.push_back(id);
-  for (const std::uint64_t id : ids) {
-    if (const auto it = out_streams_.find(id); it != out_streams_.end()) {
-      pump_stream(it->second, /*draining=*/true);
-    }
-  }
-}
-
-void DeltaCfsClient::handle_stream_credit(const proto::StreamCredit& credit) {
-  const auto it = out_streams_.find(credit.stream_id);
-  if (it == out_streams_.end()) return;  // stale: the stream already drained
-  OutStream& stream = it->second;
-  stream.credit.grant(credit.bytes);
-  const std::uint64_t consumed =
-      std::min<std::uint64_t>(credit.bytes, stream.unacked);
-  ledger_.release(consumed);
-  stream.unacked -= consumed;
-  if (stream.stalled) {
-    if (stages_ != nullptr) {
-      stages_->record(obs::Stage::stream_wait,
-                      static_cast<std::uint64_t>(
-                          clock_.now() - stream.stall_start));
-    }
-    stream.stalled = false;
-  }
-  const std::uint64_t id = stream.id;
-  // Re-arm the pump on the bulk lane; the reactor runs it after the
-  // interactive frames still queued in this poll.
-  reactor_.make_ready(conn_, rt::TaskClass::bulk, [this, id] {
-    if (const auto live = out_streams_.find(id); live != out_streams_.end()) {
-      pump_stream(live->second, /*draining=*/false);
-    }
-  });
-}
-
 void DeltaCfsClient::process_ack(const proto::Ack& ack) {
   obs::Span span(tracer_, tn_.ack);
   if (ack.trace_id != 0 && tracer_ != nullptr) {
@@ -1558,12 +1308,6 @@ void DeltaCfsClient::apply_forward(proto::SyncRecord record) {
     case proto::OpKind::recon_query:
       // Queries are client->server only and are never forwarded.
       break;
-    case proto::OpKind::stream_open:
-    case proto::OpKind::stream_chunk:
-    case proto::OpKind::stream_commit:
-      // Stream framing is client->server only; the server forwards the
-      // synthesized full_file record instead.
-      break;
   }
   if (stashed) local_.unlink(stashed->preserved);
 }
@@ -1608,13 +1352,10 @@ std::size_t DeltaCfsClient::import_tree() {
       SyncNode node;
       node.kind = proto::OpKind::full_file;
       node.path = full;
-      if (!(stream_eligible(node.kind, st->size) &&
-            spill_snapshot(node, full, st->size))) {
-        Result<Bytes> content = local_.read_file(full);
-        if (!content) continue;
-        meter_.charge(CostKind::disk_read, content->size());
-        node.payload = std::move(*content);
-      }
+      Result<Bytes> content = local_.read_file(full);
+      if (!content) continue;
+      meter_.charge(CostKind::disk_read, content->size());
+      node.payload = std::move(*content);
       assign_versions(node, full);
       queue_.enqueue(std::move(node), clock_.now());
       if (checksums_) checksums_->index_file(local_, full);

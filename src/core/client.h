@@ -15,7 +15,6 @@
 //     via backindex spans applied transactionally by the server.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
@@ -36,8 +35,6 @@
 #include "par/worker_pool.h"
 #include "proto/messages.h"
 #include "rsyncx/recon.h"
-#include "rt/credit.h"
-#include "rt/reactor.h"
 #include "vfs/intercept.h"
 
 namespace dcfs {
@@ -101,18 +98,6 @@ struct ClientConfig {
   /// Shingle/recursion tuning shared by the client planner and (via the
   /// wire) the server's scanners.
   rsyncx::recon::ReconParams recon = {};
-  /// Chunk-streamed transfers on a bounded window: large full-content
-  /// uploads spill their payload to a local tmp file and ship it as
-  /// stream_open / stream_chunk* / stream_commit records, pausing whenever
-  /// more than this many bytes are un-credited by the server.  0 (the
-  /// default) disables streaming — every upload ships as one record, the
-  /// byte-equivalence reference for the e2e matrix.
-  std::uint64_t stream_window_bytes = 0;
-  /// Bytes per stream_chunk record (also the spill-copy granularity).
-  std::uint64_t stream_chunk_bytes = 64 * 1024;
-  /// Full-content nodes at least this large stream; smaller ones ship as
-  /// one record (per-chunk overhead would dominate).
-  std::uint64_t stream_min_bytes = 1ull << 20;
 };
 
 class DeltaCfsClient final : public OpSink {
@@ -245,33 +230,13 @@ class DeltaCfsClient final : public OpSink {
   [[nodiscard]] std::uint64_t recon_sig_bytes_saved() const noexcept {
     return recon_sig_bytes_saved_;
   }
-  /// Chunk streams opened (0 unless ClientConfig::stream_window_bytes).
-  [[nodiscard]] std::uint64_t streams_started() const noexcept {
-    return streams_started_;
-  }
-  /// Times a stream pump ran out of window credit and had to stall.
-  [[nodiscard]] std::uint64_t stream_stalls() const noexcept {
-    return stream_stalls_;
-  }
-  /// Streams still awaiting credit/commit.  Like recon_in_flight(),
-  /// drivers must keep pumping server + client until this returns 0.
-  [[nodiscard]] std::size_t streams_in_flight() const noexcept {
-    return out_streams_.size();
-  }
-  /// Nodes parked behind an in-flight recon session or stream for their
-  /// path (unrelated paths keep flowing).
+  /// The client has no chunk streams; this always returns 0.  It stays
+  /// only because wallbench's convergence check still reads it.
+  [[nodiscard]] std::size_t streams_in_flight() const noexcept { return 0; }
+  /// Nodes parked behind an in-flight recon session for their path
+  /// (unrelated paths keep flowing).
   [[nodiscard]] std::size_t deferred_pending() const noexcept {
     return deferred_.size();
-  }
-  /// High-water mark of tracked in-memory stream buffer bytes — the
-  /// bounded-window guarantee the bench gates on (≤ a few windows).
-  [[nodiscard]] std::uint64_t stream_mem_highwater() const noexcept {
-    return ledger_.highwater();
-  }
-  /// The event reactor driving frame dispatch and stream pumps (queue
-  /// depths, timer counts — `syncctl rt`).
-  [[nodiscard]] const rt::Reactor& reactor() const noexcept {
-    return reactor_;
   }
 
  private:
@@ -357,53 +322,9 @@ class DeltaCfsClient final : public OpSink {
   };
 
   [[nodiscard]] bool recon_eligible(const SyncNode& node) const;
-  // ---- Bounded-window chunk streaming (dcfs::rt) ----
-
-  /// One upload negotiating its bytes through the credit window.
-  struct OutStream {
-    std::uint64_t id = 0;  ///< the node's seq (also the commit's sequence)
-    SyncNode node;         ///< spill_path holds the bytes; payload empty
-    std::uint64_t total = 0;
-    std::uint64_t sent = 0;       ///< bytes shipped so far
-    std::uint64_t chunk_seq = 0;  ///< next chunk ordinal
-    std::uint64_t unacked = 0;    ///< bytes sent but not yet credited
-    rt::CreditGate credit;
-    bool stalled = false;
-    TimePoint stall_start = 0;
-  };
-
-  /// True if this node should spill + stream rather than ship in one
-  /// record (streaming on, big enough, not recon-bound).
-  [[nodiscard]] bool stream_eligible(proto::OpKind kind,
-                                     std::uint64_t size) const;
-  /// Effective chunk size for spill copies and stream pumps: the
-  /// configured chunk clamped to the window, so one chunk can never pin
-  /// more tracked memory than the whole window allows.
-  [[nodiscard]] std::uint64_t stream_chunk_size() const noexcept {
-    const std::uint64_t cap =
-        std::max<std::uint64_t>(config_.stream_window_bytes, 1);
-    return std::clamp<std::uint64_t>(config_.stream_chunk_bytes, 1, cap);
-  }
-  /// Copies `path`'s content chunk-by-chunk into a tmp spill file so the
-  /// queue holds O(chunk) memory; fills node.spill_path/spill_size.
-  /// False (spill I/O failed) means the caller falls back to an in-memory
-  /// payload.
-  [[nodiscard]] bool spill_snapshot(SyncNode& node, const std::string& path,
-                                    std::uint64_t size);
-  /// Opens the stream (sends stream_open) and pumps the first window.
-  void start_stream(SyncNode node);
-  /// Ships chunks while credit allows; stalls (Stage::stream_wait) when
-  /// the window is exhausted.  `draining` ignores credit (final flush).
-  void pump_stream(OutStream& stream, bool draining);
-  /// Sends the stream_commit record and retires the stream.
-  void finish_stream(OutStream& stream);
-  /// Drains every open stream to completion ignoring credit (flush path).
-  void finish_streams();
-  /// Window credit from the server (downstream frame tag 4).
-  void handle_stream_credit(const proto::StreamCredit& credit);
   /// Merges deferred_ + freshly matured nodes, uploads every node not
-  /// blocked behind an in-flight recon session / stream for its path or
-  /// txn group, and re-parks the rest (per-path FIFO preserved).
+  /// blocked behind an in-flight recon session for its path or txn group,
+  /// and re-parks the rest (per-path FIFO preserved).
   void upload_ready(TimePoint now, bool flush_all);
 
   /// classic vs recursive for one file, per ClientConfig::recon_mode;
@@ -421,7 +342,7 @@ class DeltaCfsClient final : public OpSink {
   void finish_recon(ReconSession& session);
   /// Server refused (or the answer was unusable): upload the full content.
   void recon_fallback(ReconSession& session);
-  /// Ships one uploaded record (plain, recon result or stream commit):
+  /// Ships one uploaded record (plain or recon result):
   /// compresses its payload under `compress_uploads`, stamps its trace id,
   /// counts it, starts its trace flow and its ack round-trip clock.
   void upload_record(proto::SyncRecord& record, proto::MessageType type);
@@ -430,9 +351,8 @@ class DeltaCfsClient final : public OpSink {
   /// stage.  Returns the frame's size in bytes.
   std::size_t send_frame(const proto::SyncRecord& record,
                          proto::MessageType type);
-  /// Downstream frame dispatch (runs as an interactive reactor task):
-  /// ack / forwarded record / recon answer / stream credit.
-  void dispatch_frame(Bytes frame, std::uint64_t frame_bytes);
+  /// Downstream frame dispatch: ack / forwarded record / recon answer.
+  void dispatch_frame(Bytes frame);
   void process_ack(const proto::Ack& ack);
   void apply_forward(proto::SyncRecord record);
 
@@ -493,7 +413,6 @@ class DeltaCfsClient final : public OpSink {
     obs::Counter* recon_rounds = nullptr;
     obs::Counter* recon_saved = nullptr;
     obs::Counter* recon_fallbacks = nullptr;
-    obs::Counter* stream_stalls = nullptr;
     obs::Histogram* record_bytes = nullptr;
   } stats_;
   ClientConfig config_;
@@ -559,21 +478,9 @@ class DeltaCfsClient final : public OpSink {
   std::uint64_t recon_down_bytes_ = 0;
   std::uint64_t recon_sig_bytes_saved_ = 0;
 
-  /// In-flight chunk streams by id (= node seq).  Nodes for the same path
-  /// park in deferred_ until the stream commits.
-  std::map<std::uint64_t, OutStream> out_streams_;
-  /// Nodes matured while their path was claimed by a recon session or an
-  /// open stream; re-examined (in seq order) every upload batch.
+  /// Nodes matured while their path was claimed by a recon session;
+  /// re-examined (in seq order) every upload batch.
   std::vector<SyncNode> deferred_;
-  /// Event reactor: interactive lane for downstream frame dispatch, bulk
-  /// lane for stream pumps; owns the rt.queue.depth gauge.
-  rt::Reactor reactor_;
-  rt::ConnId conn_ = 0;
-  /// Tracked in-memory stream buffer bytes (rt.mem.highwater gauge).
-  rt::MemLedger ledger_;
-  std::uint64_t stream_spill_counter_ = 0;
-  std::uint64_t streams_started_ = 0;
-  std::uint64_t stream_stalls_ = 0;
 
   std::uint64_t preserve_counter_ = 0;
   bool tmp_dir_ready_ = false;

@@ -58,13 +58,8 @@ struct SyncNode {
   std::uint64_t txn_group = 0;
   bool txn_last = false;
 
-  /// Payload spilled to a local tmp file instead of held in memory: the
-  /// upload path chunk-streams it on a bounded window (§ DESIGN reactor).
-  std::string spill_path;
-  std::uint64_t spill_size = 0;
-
   [[nodiscard]] std::uint64_t content_bytes() const noexcept {
-    std::uint64_t total = payload.size() + spill_size;
+    std::uint64_t total = payload.size();
     for (const WriteSegment& seg : segments) total += seg.data.size();
     return total;
   }

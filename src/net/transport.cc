@@ -20,6 +20,10 @@ std::optional<Bytes> Transport::client_poll() {
   return frame;
 }
 
+std::deque<Bytes> Transport::client_poll_all() {
+  return std::exchange(to_client_, {});
+}
+
 Duration Transport::server_send(Bytes frame, proto::MessageType type) {
   const std::uint64_t wire_bytes = frame.size() + profile_.frame_overhead;
   meter_.add_down(wire_bytes, type);

@@ -76,6 +76,8 @@ class Transport {
                        proto::MessageType type = proto::MessageType::other);
   /// Next frame the server pushed down, if any.
   std::optional<Bytes> client_poll();
+  /// Every frame the server pushed down, in arrival order; none remain.
+  std::deque<Bytes> client_poll_all();
 
   // ---- server side ----
 

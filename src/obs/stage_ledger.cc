@@ -22,8 +22,6 @@ std::string_view to_string(Stage stage) noexcept {
       return "ack";
     case Stage::recon:
       return "recon";
-    case Stage::stream_wait:
-      return "stream_wait";
     case Stage::kCount:
       break;
   }

@@ -24,15 +24,14 @@
 namespace dcfs::obs {
 
 enum class Stage : std::uint8_t {
-  signature,   ///< base-signature pass (cache miss)
+  signature,   ///< base-signature pass
   delta,       ///< local bitwise-compare delta encoding
-  compress,    ///< payload + wire compression
+  compress,    ///< record-payload compression (compress_uploads)
   transport,   ///< modeled wire time of the upload frame
   queue_wait,  ///< sync-queue residency (enqueue -> upload)
   apply,       ///< server-side apply CPU
   ack,         ///< upload -> ack-processed round trip
   recon,       ///< recursive-reconciliation rounds (query -> answer)
-  stream_wait, ///< chunk-stream stall waiting for window credit
   kCount,
 };
 

@@ -6,6 +6,8 @@ namespace dcfs::proto {
 namespace {
 
 /// Reserved (the retired record bundle): no OpKind may take this value.
+/// The retired chunk-stream kinds 13-15 lie above the last OpKind, so the
+/// range check in decode_record() rejects them.
 constexpr std::uint8_t kRetiredBundleKind = 11;
 
 void put_string(Bytes& out, std::string_view s) {
@@ -111,9 +113,6 @@ std::string_view to_string(OpKind kind) {
     case OpKind::file_delta: return "file_delta";
     case OpKind::full_file: return "full_file";
     case OpKind::recon_query: return "recon_query";
-    case OpKind::stream_open: return "stream_open";
-    case OpKind::stream_chunk: return "stream_chunk";
-    case OpKind::stream_commit: return "stream_commit";
   }
   return "unknown";
 }
@@ -156,7 +155,7 @@ Result<SyncRecord> decode_record(ByteSpan wire) {
   pos += 8;
   const std::uint8_t kind = wire[pos++];
   if (kind < static_cast<std::uint8_t>(OpKind::create) ||
-      kind > static_cast<std::uint8_t>(OpKind::stream_commit) ||
+      kind > static_cast<std::uint8_t>(OpKind::recon_query) ||
       kind == kRetiredBundleKind) {
     return Status{Errc::corruption, "record kind unknown"};
   }
@@ -219,28 +218,6 @@ Result<Ack> decode_ack(ByteSpan wire) {
   }
   ack.trace_id = get_u64(wire, pos);
   return ack;
-}
-
-Bytes encode(const StreamCredit& credit) {
-  Bytes wire;
-  encode_into(credit, wire);
-  return wire;
-}
-
-void encode_into(const StreamCredit& credit, Bytes& wire) {
-  wire.reserve(wire.size() + 16);
-  put_u64(wire, credit.stream_id);
-  put_u64(wire, credit.bytes);
-}
-
-Result<StreamCredit> decode_stream_credit(ByteSpan wire) {
-  if (wire.size() < 16) {
-    return Status{Errc::corruption, "stream credit too short"};
-  }
-  StreamCredit credit;
-  credit.stream_id = get_u64(wire, 0);
-  credit.bytes = get_u64(wire, 8);
-  return credit;
 }
 
 // ---- Recon rounds -----------------------------------------------------

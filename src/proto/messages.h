@@ -25,11 +25,10 @@ enum class MessageType : std::uint8_t {
   ack,              ///< cloud-to-client Ack frame
   forward,          ///< cloud-to-client forwarded record (multi-device)
   recon,            ///< reconciliation round (query up, answer down)
-  stream,           ///< chunk-stream traffic (open/chunk/commit up, credit down)
   other,            ///< anything unclassified
 };
 
-inline constexpr std::size_t kMessageTypeCount = 6;
+inline constexpr std::size_t kMessageTypeCount = 5;
 
 constexpr std::string_view to_string(MessageType type) noexcept {
   switch (type) {
@@ -41,8 +40,6 @@ constexpr std::string_view to_string(MessageType type) noexcept {
       return "forward";
     case MessageType::recon:
       return "recon";
-    case MessageType::stream:
-      return "stream";
     case MessageType::other:
       return "other";
   }
@@ -79,19 +76,7 @@ enum class OpKind : std::uint8_t {
   /// reconciliation exchange (rsyncx/recon.h).  Not a mutation — the
   /// server answers with a ReconResponse frame instead of an Ack.
   recon_query = 12,
-  /// Opens a bounded-window chunk stream for one large full-content upload
-  /// (docs/PROTOCOL.md §chunk streams).  `sequence` is the stream id,
-  /// `size` the total byte count, `offset` the sender's window so the
-  /// server can pace its credit grants.  Stream records are never
-  /// forwarded, and only the commit is acked.
-  stream_open,
-  /// One chunk of an open stream: `sequence` = stream id, `offset` = byte
-  /// position, `size` = 0-based chunk ordinal, payload = the bytes.
-  stream_chunk,
-  /// Closes a stream: the server checks the byte count, synthesizes a
-  /// full_file record from the staged chunks and this record's metadata
-  /// (versions, txn labels, trace id), applies it, and acks `sequence`.
-  stream_commit,
+  // 13-15 (the retired chunk-stream kinds) are reserved and never decode.
 };
 
 std::string_view to_string(OpKind kind);
@@ -178,21 +163,6 @@ Result<Ack> decode_ack(ByteSpan wire);
 /// these.
 void encode_into(const SyncRecord& record, Bytes& out);
 void encode_into(const Ack& ack, Bytes& out);
-
-/// Downstream flow-control grant for one chunk stream (frame tag 0x04,
-/// docs/PROTOCOL.md §chunk streams).  The server returns `bytes` of window
-/// as it consumes staged chunks; the client may have that many more bytes
-/// in flight on stream `stream_id`.
-struct StreamCredit {
-  std::uint64_t stream_id = 0;
-  std::uint64_t bytes = 0;
-
-  friend bool operator==(const StreamCredit&, const StreamCredit&) = default;
-};
-
-Bytes encode(const StreamCredit& credit);
-void encode_into(const StreamCredit& credit, Bytes& out);
-Result<StreamCredit> decode_stream_credit(ByteSpan wire);
 
 // ---- Recursive reconciliation rounds (rsyncx/recon.h) -----------------
 //

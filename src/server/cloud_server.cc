@@ -38,7 +38,7 @@ CloudServer::CloudServer(const CostProfile& profile, ServerConfig config,
     tn_.apply_group = tracer_->intern("server.apply_group");
     tn_.recon = tracer_->intern("server.recon");
     for (std::size_t k = static_cast<std::size_t>(proto::OpKind::create);
-         k <= static_cast<std::size_t>(proto::OpKind::stream_commit); ++k) {
+         k <= static_cast<std::size_t>(proto::OpKind::recon_query); ++k) {
       tn_.kind[k] =
           tracer_->intern(proto::to_string(static_cast<proto::OpKind>(k)));
     }
@@ -98,22 +98,6 @@ std::size_t CloudServer::pump() {
         run_batch(batch);
         answer_recon(client_id, *record);
         ++processed;
-        continue;
-      }
-      if (record->kind == proto::OpKind::stream_open ||
-          record->kind == proto::OpKind::stream_chunk ||
-          record->kind == proto::OpKind::stream_commit) {
-        // Staged outside the apply path (touching only streams_, so no
-        // batch cut); only a commit's synthesized full_file record enters
-        // intake (exactly one applied record per streamed file, like the
-        // non-streamed upload).
-        ++processed;
-        StreamOutcome outcome = handle_stream(client_id, std::move(*record));
-        if (outcome.error) reject(client_id, std::move(*outcome.error));
-        if (outcome.record) {
-          submit(batch, intake(client_id, std::move(*outcome.record)));
-          ++processed;
-        }
         continue;
       }
       submit(batch, intake(client_id, std::move(*record)));
@@ -439,14 +423,6 @@ proto::Ack CloudServer::apply_one(const proto::SyncRecord& record,
       ack.result = Errc::corruption;
       break;
 
-    case proto::OpKind::stream_open:
-    case proto::OpKind::stream_chunk:
-    case proto::OpKind::stream_commit:
-      // Stream records are staged by pump() (handle_stream); only the
-      // commit-synthesized full_file enters the apply layer.  One reaching
-      // here bypassed framing — reject it.
-      ack.result = Errc::corruption;
-      break;
 
     case proto::OpKind::mkdir:
       ctx.dirs.insert(record.path);
@@ -951,101 +927,6 @@ void CloudServer::send_recon(std::uint32_t client_id,
   frame.push_back(3);  // server-to-client tag: recon answer
   proto::encode_into(response, frame);
   send_frame(*it->second, std::move(frame), proto::MessageType::recon);
-}
-
-CloudServer::StreamOutcome CloudServer::handle_stream(
-    std::uint32_t client_id, proto::SyncRecord record) {
-  StreamOutcome out;
-  const auto violation = [&] { out.error = ack_for(record, Errc::corruption); };
-  const std::pair<std::uint32_t, std::uint64_t> key{client_id,
-                                                    record.sequence};
-  switch (record.kind) {
-    case proto::OpKind::stream_open: {
-      if (streams_.contains(key)) {
-        // Duplicate open: the stream is unrecoverable — drop the stage so
-        // stray chunks fail fast instead of splicing into the wrong file.
-        streams_.erase(key);
-        violation();
-        return out;
-      }
-      StreamStage stage;
-      stage.window = record.offset;
-      stage.open = std::move(record);
-      streams_.emplace(key, std::move(stage));
-      ++streams_opened_;
-      return out;
-    }
-
-    case proto::OpKind::stream_chunk: {
-      const auto it = streams_.find(key);
-      if (it == streams_.end()) {
-        violation();
-        return out;
-      }
-      StreamStage& stage = it->second;
-      // Chunks are strictly ordered: ordinal (`size`) and byte offset must
-      // both line up, and the total may never overrun the opened size.
-      if (record.size != stage.chunks ||
-          record.offset != stage.data.size() ||
-          stage.data.size() + record.payload.size() > stage.open.size) {
-        streams_.erase(it);
-        violation();
-        return out;
-      }
-      meter_.charge(CostKind::byte_copy, record.payload.size());
-      append(stage.data, record.payload);
-      ++stage.chunks;
-      ++stream_chunks_;
-      // Credit-based backpressure: return window as chunks are consumed,
-      // batched to half a window so credits don't outnumber chunks.
-      stage.uncredited += record.payload.size();
-      if (stage.uncredited >= std::max<std::uint64_t>(stage.window / 2, 1)) {
-        send_credit(client_id, key.second, stage.uncredited);
-        stage.uncredited = 0;
-      }
-      return out;
-    }
-
-    case proto::OpKind::stream_commit: {
-      const auto it = streams_.find(key);
-      if (it == streams_.end()) {
-        violation();
-        return out;
-      }
-      StreamStage stage = std::move(it->second);
-      streams_.erase(it);
-      if (stage.data.size() != record.size ||
-          stage.open.path != record.path) {
-        violation();
-        return out;
-      }
-      // Synthesize the full_file record the non-streamed upload would have
-      // shipped: the commit carries all metadata, the stage the content.
-      proto::SyncRecord full = std::move(record);
-      full.kind = proto::OpKind::full_file;
-      full.offset = 0;
-      full.payload = std::move(stage.data);
-      out.record = std::move(full);
-      return out;
-    }
-
-    default:
-      violation();  // non-stream kind routed here: framing bug
-      return out;
-  }
-}
-
-void CloudServer::send_credit(std::uint32_t client_id, std::uint64_t stream_id,
-                              std::uint64_t bytes) {
-  const auto it = clients_.find(client_id);
-  if (it == clients_.end()) return;
-  proto::StreamCredit credit;
-  credit.stream_id = stream_id;
-  credit.bytes = bytes;
-  Bytes frame;
-  frame.push_back(4);  // server-to-client tag: stream credit
-  proto::encode_into(credit, frame);
-  send_frame(*it->second, std::move(frame), proto::MessageType::stream);
 }
 
 void CloudServer::send_ack(std::uint32_t client_id, const proto::Ack& ack) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <deque>
+
 #include "net/transport.h"
 
 namespace dcfs {
@@ -34,6 +36,16 @@ TEST(TransportTest, FramesFlowBothWays) {
   ASSERT_TRUE(frame.has_value());
   EXPECT_EQ(as_text(*frame), "down");
   EXPECT_TRUE(transport.idle());
+
+  // client_poll_all takes every pending frame at once, in order.
+  transport.server_send(to_bytes("down1"));
+  transport.server_send(to_bytes("down2"));
+  const std::deque<Bytes> frames = transport.client_poll_all();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(as_text(frames[0]), "down1");
+  EXPECT_EQ(as_text(frames[1]), "down2");
+  EXPECT_TRUE(transport.idle());
+  EXPECT_TRUE(transport.client_poll_all().empty());
 }
 
 TEST(TransportTest, MeterCountsWireBytesIncludingOverhead) {

@@ -2,7 +2,9 @@
 // to their serial rsyncx counterparts at every thread count — same signature
 // contents, same delta wire bytes, same CostMeter totals — so flipping
 // `delta_threads` can never change what a client uploads or what it reports
-// having spent.
+// having spent.  End to end, two clients sharing one cloud reach the same
+// cloud state and peer view at every delta thread count and, for import and
+// move-into-scope, at every server apply shard count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -468,10 +470,9 @@ TEST(ChecksumStoreBulkTest, BulkIndexMatchesSerialStateAndCharges) {
   }
 }
 
-/// Everything observable about a two-client run of the mixed workload
-/// below: server files, versions, histories and counters, client B's
-/// forwarded view, and the clients' upload / forward / conflict / error
-/// counts.
+/// Everything observable about a two-client run of one scenario below:
+/// server files, versions, histories and counters, client B's forwarded
+/// view, and the clients' upload / forward / conflict / error counts.
 struct MixedDigest {
   std::string state;
   std::string peer;
@@ -481,91 +482,10 @@ struct MixedDigest {
   std::uint64_t errors = 0;
 };
 
-/// Two clients sharing one cloud, both at `threads` delta lanes, run a
-/// mixed workload: compressible text and incompressible blobs from both
-/// sides, an append and an in-place patch, a transactional (Word-style)
-/// save, a rename, an unlink by the peer and a burst of small files.
-MixedDigest run_mixed_workload(std::uint32_t threads) {
-  VirtualClock clock;
-  MemFs local_a(clock);
-  MemFs local_b(clock);
-  Transport transport_a(NetProfile::pc_wan());
-  Transport transport_b(NetProfile::pc_wan());
-  CloudServer server(CostProfile::pc());
-
-  auto client_config = [threads](std::uint32_t id) {
-    ClientConfig config;
-    config.client_id = id;
-    config.delta_threads = threads;
-    return config;
-  };
-  DeltaCfsClient client_a(local_a, transport_a, clock, CostProfile::pc(),
-                          client_config(1));
-  DeltaCfsClient client_b(local_b, transport_b, clock, CostProfile::pc(),
-                          client_config(2));
-  InterceptingFs fs_a(local_a, client_a);
-  InterceptingFs fs_b(local_b, client_b);
-  server.attach(1, transport_a);
-  server.attach(2, transport_b);
-
-  auto settle = [&](Duration duration = seconds(12)) {
-    for (Duration t = 0; t < duration; t += milliseconds(200)) {
-      clock.advance(milliseconds(200));
-      client_a.tick(clock.now());
-      client_b.tick(clock.now());
-      server.pump();
-      client_a.tick(clock.now());
-      client_b.tick(clock.now());
-    }
-    client_a.flush(clock.now());
-    client_b.flush(clock.now());
-    server.pump();
-    client_a.tick(clock.now());
-    client_b.tick(clock.now());
-  };
-
-  fs_a.mkdir("/sync");
-  fs_b.mkdir("/sync");
-  settle();
-
-  Rng rng(99);
-  fs_a.write_file("/sync/notes.txt", rng.text(48 * 1024));
-  fs_a.write_file("/sync/blob.bin", rng.bytes(24 * 1024));
-  fs_b.write_file("/sync/peer.log", rng.text(8 * 1024));
-  settle();
-
-  // Grow the text (delta-friendly append) and patch the blob in place.
-  if (Result<FileHandle> h = fs_a.open("/sync/notes.txt")) {
-    fs_a.write(*h, 48 * 1024, rng.text(16 * 1024));
-    fs_a.close(*h);
-  }
-  if (Result<FileHandle> h = fs_a.open("/sync/blob.bin")) {
-    fs_a.write(*h, 1000, rng.bytes(512));
-    fs_a.close(*h);
-  }
-  settle();
-
-  // Transactional save (Fig. 3 Word pattern): the local-delta path.
-  if (Result<Bytes> doc = local_a.read_file("/sync/notes.txt")) {
-    Bytes edited = std::move(*doc);
-    const Bytes patch = rng.text(2048);
-    edited.insert(edited.begin() + 1024, patch.begin(), patch.end());
-    fs_a.rename("/sync/notes.txt", "/sync/notes.txt.bak");
-    fs_a.write_file("/sync/notes.txt.tmp", edited);
-    fs_a.rename("/sync/notes.txt.tmp", "/sync/notes.txt");
-    fs_a.unlink("/sync/notes.txt.bak");
-  }
-  settle();
-
-  // Metadata churn: a rename, small files, and an unlink from the peer.
-  fs_a.rename("/sync/blob.bin", "/sync/blob2.bin");
-  for (int i = 0; i < 6; ++i) {
-    fs_a.write_file("/sync/small" + std::to_string(i),
-                    rng.text(200 + 37 * static_cast<std::uint64_t>(i)));
-  }
-  fs_b.unlink("/sync/peer.log");
-  settle(seconds(16));
-
+/// The digest of a finished two-client run (B is the peer).
+MixedDigest digest_of(CloudServer& server, MemFs& local_b,
+                      const DeltaCfsClient& client_a,
+                      const DeltaCfsClient& client_b) {
   MixedDigest digest;
   std::ostringstream state;
   for (const std::string& path : server.paths()) {
@@ -603,6 +523,134 @@ MixedDigest run_mixed_workload(std::uint32_t threads) {
   digest.conflicts = client_a.conflicts_acked() + client_b.conflicts_acked();
   digest.errors = client_a.errors_acked() + client_b.errors_acked();
   return digest;
+}
+
+/// What two clients sharing one cloud do between set-up and the digest.
+enum class Scenario {
+  /// Compressible text and incompressible blobs from both sides, an append
+  /// and an in-place patch, a transactional (Word-style) save, a rename, an
+  /// unlink by the peer and a burst of small files.
+  mixed,
+  /// Import of two large files and a small one, a large file moved into
+  /// scope, then an in-place patch of an imported file, a rename, a burst
+  /// of small files and an unlink by the peer.
+  import_move_in,
+};
+
+/// Runs `scenario` with both clients at `threads` delta lanes and the
+/// server at `shards` apply shards.
+MixedDigest run_two_clients(Scenario scenario, std::uint32_t threads,
+                            std::size_t shards = 1) {
+  VirtualClock clock;
+  MemFs local_a(clock);
+  MemFs local_b(clock);
+  Transport transport_a(NetProfile::pc_wan());
+  Transport transport_b(NetProfile::pc_wan());
+  ServerConfig server_config;
+  server_config.apply_shards = shards;
+  CloudServer server(CostProfile::pc(), server_config);
+
+  auto client_config = [threads](std::uint32_t id) {
+    ClientConfig config;
+    config.client_id = id;
+    config.delta_threads = threads;
+    return config;
+  };
+  DeltaCfsClient client_a(local_a, transport_a, clock, CostProfile::pc(),
+                          client_config(1));
+  DeltaCfsClient client_b(local_b, transport_b, clock, CostProfile::pc(),
+                          client_config(2));
+  InterceptingFs fs_a(local_a, client_a);
+  InterceptingFs fs_b(local_b, client_b);
+  server.attach(1, transport_a);
+  server.attach(2, transport_b);
+
+  auto settle = [&](Duration duration = seconds(12)) {
+    for (Duration t = 0; t < duration; t += milliseconds(200)) {
+      clock.advance(milliseconds(200));
+      client_a.tick(clock.now());
+      client_b.tick(clock.now());
+      server.pump();
+      client_a.tick(clock.now());
+      client_b.tick(clock.now());
+    }
+    client_a.flush(clock.now());
+    client_b.flush(clock.now());
+    server.pump();
+    client_a.tick(clock.now());
+    client_b.tick(clock.now());
+  };
+
+  fs_a.mkdir("/sync");
+  fs_b.mkdir("/sync");
+  Rng rng(99);
+  if (scenario == Scenario::import_move_in) {
+    settle(seconds(4));
+    local_a.write_file("/sync/big.dat", rng.bytes(160 * 1024));
+    local_a.write_file("/sync/album.bin", rng.bytes(96 * 1024));
+    local_a.write_file("/sync/readme.txt", rng.text(2 * 1024));
+    client_a.import_tree();
+    fs_b.write_file("/sync/peer.log", rng.text(8 * 1024));
+    settle();
+
+    local_a.mkdir("/outside");
+    local_a.write_file("/outside/moved.dat", rng.bytes(80 * 1024));
+    fs_a.rename("/outside/moved.dat", "/sync/moved.dat");
+    settle();
+
+    if (Result<FileHandle> h = fs_a.open("/sync/big.dat")) {
+      fs_a.write(*h, 4096, rng.bytes(512));
+      fs_a.close(*h);
+    }
+    fs_a.rename("/sync/album.bin", "/sync/album2.bin");
+    for (int i = 0; i < 5; ++i) {
+      fs_a.write_file("/sync/small" + std::to_string(i),
+                      rng.text(200 + 37 * static_cast<std::uint64_t>(i)));
+    }
+    fs_b.unlink("/sync/peer.log");
+    settle(seconds(16));
+    EXPECT_EQ(client_a.deferred_pending(), 0u);
+    return digest_of(server, local_b, client_a, client_b);
+  }
+
+  settle();
+  fs_a.write_file("/sync/notes.txt", rng.text(48 * 1024));
+  fs_a.write_file("/sync/blob.bin", rng.bytes(24 * 1024));
+  fs_b.write_file("/sync/peer.log", rng.text(8 * 1024));
+  settle();
+
+  // Grow the text (delta-friendly append) and patch the blob in place.
+  if (Result<FileHandle> h = fs_a.open("/sync/notes.txt")) {
+    fs_a.write(*h, 48 * 1024, rng.text(16 * 1024));
+    fs_a.close(*h);
+  }
+  if (Result<FileHandle> h = fs_a.open("/sync/blob.bin")) {
+    fs_a.write(*h, 1000, rng.bytes(512));
+    fs_a.close(*h);
+  }
+  settle();
+
+  // Transactional save (Fig. 3 Word pattern): the local-delta path.
+  if (Result<Bytes> doc = local_a.read_file("/sync/notes.txt")) {
+    Bytes edited = std::move(*doc);
+    const Bytes patch = rng.text(2048);
+    edited.insert(edited.begin() + 1024, patch.begin(), patch.end());
+    fs_a.rename("/sync/notes.txt", "/sync/notes.txt.bak");
+    fs_a.write_file("/sync/notes.txt.tmp", edited);
+    fs_a.rename("/sync/notes.txt.tmp", "/sync/notes.txt");
+    fs_a.unlink("/sync/notes.txt.bak");
+  }
+  settle();
+
+  // Metadata churn: a rename, small files, and an unlink from the peer.
+  fs_a.rename("/sync/blob.bin", "/sync/blob2.bin");
+  for (int i = 0; i < 6; ++i) {
+    fs_a.write_file("/sync/small" + std::to_string(i),
+                    rng.text(200 + 37 * static_cast<std::uint64_t>(i)));
+  }
+  fs_b.unlink("/sync/peer.log");
+  settle(seconds(16));
+  return digest_of(server, local_b, client_a, client_b);
 }
 
 /// End-to-end determinism: full DeltaCFS stacks differing only in
@@ -654,12 +702,12 @@ TEST(ClientParallelEquivalenceTest, ThreadCountDoesNotChangeObservables) {
     EXPECT_EQ(units, units1) << label;
   }
 
-  const MixedDigest mixed1 = run_mixed_workload(1);
+  const MixedDigest mixed1 = run_two_clients(Scenario::mixed, 1);
   ASSERT_EQ(mixed1.errors, 0u);
   ASSERT_GT(mixed1.forwards, 0u);
   ASSERT_FALSE(mixed1.state.empty());
   for (const std::uint32_t threads : {2u, 4u}) {
-    const MixedDigest mixed = run_mixed_workload(threads);
+    const MixedDigest mixed = run_two_clients(Scenario::mixed, threads);
     const std::string label = "mixed threads=" + std::to_string(threads);
     EXPECT_EQ(mixed.state, mixed1.state) << label;
     EXPECT_EQ(mixed.peer, mixed1.peer) << label;
@@ -667,6 +715,32 @@ TEST(ClientParallelEquivalenceTest, ThreadCountDoesNotChangeObservables) {
     EXPECT_EQ(mixed.forwards, mixed1.forwards) << label;
     EXPECT_EQ(mixed.conflicts, mixed1.conflicts) << label;
     EXPECT_EQ(mixed.errors, 0u) << label;
+  }
+}
+
+/// Import, move-into-scope and the edits after them give the same cloud
+/// state, peer view and client counts at every delta thread count and
+/// server shard count.
+TEST(ClientParallelEquivalenceTest,
+     ImportAndMoveInMatchAcrossThreadsAndShards) {
+  const MixedDigest base = run_two_clients(Scenario::import_move_in, 1, 1);
+  ASSERT_EQ(base.errors, 0u);
+  ASSERT_GT(base.forwards, 0u);
+  ASSERT_FALSE(base.state.empty());
+  for (const std::uint32_t threads : {1u, 4u}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2}}) {
+      if (threads == 1 && shards == 1) continue;
+      const MixedDigest run =
+          run_two_clients(Scenario::import_move_in, threads, shards);
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " shards=" + std::to_string(shards);
+      EXPECT_EQ(run.state, base.state) << label;
+      EXPECT_EQ(run.peer, base.peer) << label;
+      EXPECT_EQ(run.uploaded, base.uploaded) << label;
+      EXPECT_EQ(run.forwards, base.forwards) << label;
+      EXPECT_EQ(run.conflicts, base.conflicts) << label;
+      EXPECT_EQ(run.errors, 0u) << label;
+    }
   }
 }
 

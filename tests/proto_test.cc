@@ -166,7 +166,7 @@ TEST(ProtoTest, OpKindNames) {
   EXPECT_EQ(to_string(OpKind::recon_query), "recon_query");
 }
 
-constexpr std::array<std::pair<OpKind, std::uint8_t>, 14> kWireKinds{{
+constexpr std::array<std::pair<OpKind, std::uint8_t>, 11> kWireKinds{{
     {OpKind::create, 1},
     {OpKind::mkdir, 2},
     {OpKind::rmdir, 3},
@@ -178,9 +178,6 @@ constexpr std::array<std::pair<OpKind, std::uint8_t>, 14> kWireKinds{{
     {OpKind::file_delta, 9},
     {OpKind::full_file, 10},
     {OpKind::recon_query, 12},
-    {OpKind::stream_open, 13},
-    {OpKind::stream_chunk, 14},
-    {OpKind::stream_commit, 15},
 }};
 
 TEST(ProtoTest, OpKindWireValuesArePinned) {
@@ -215,7 +212,9 @@ TEST(ProtoTest, UnknownRecordKindFailsToDecode) {
         << "kind byte " << value;
     ++rejected;
   }
-  EXPECT_EQ(rejected, 256u - kWireKinds.size());  // 0, 11 and 16..255
+  // 0, 11 (the retired record bundle), 13..15 (the retired chunk-stream
+  // kinds) and 16..255.
+  EXPECT_EQ(rejected, 256u - kWireKinds.size());
 }
 
 }  // namespace

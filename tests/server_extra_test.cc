@@ -34,8 +34,9 @@ SyncRecord full_file(const std::string& path, ByteSpan content,
 TEST(ServerHistoryTest, DepthIsBounded) {
   CloudServer server(CostProfile::pc(), ServerConfig{.history_depth = 4});
   for (std::uint64_t i = 1; i <= 20; ++i) {
-    server.apply_record(1, full_file("/f", to_bytes("v" + std::to_string(i)),
-                                     {1, i}));
+    server.apply_record(
+        1, full_file("/f", to_bytes(std::string("v").append(std::to_string(i))),
+                     {1, i}));
   }
   const auto versions = server.history("/f");
   EXPECT_EQ(versions.size(), 5u);  // current + 4 retained

@@ -343,8 +343,9 @@ TEST_F(ServerTest, UnknownRecordKindIsRejectedAndNotForwarded) {
   const std::vector<std::string> paths_before = server_.paths();
   const std::uint64_t applied_before = server_.records_applied();
 
-  // 11 is the retired record_bundle kind; 0 and 16+ were never assigned.
-  for (const std::uint8_t kind : {0, 11, 16, 200}) {
+  // 11 is the retired record_bundle kind and 13-15 the retired chunk-stream
+  // kinds; 0 and 16+ were never assigned.
+  for (const std::uint8_t kind : {0, 11, 13, 14, 15, 16, 200}) {
     SyncRecord r = record(OpKind::full_file, "/f", {1, 1}, {1, 2});
     r.payload = to_bytes("overwritten");
     Bytes frame = proto::encode(r);

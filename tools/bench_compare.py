@@ -2,7 +2,7 @@
 """bench_compare — perf-regression gate over the BENCH_*.json artifacts.
 
 Compares freshly produced bench output (throughput_wall, server_scale,
-recon_scale, stream_scale, and the paper figures fig8, fig9 and table2)
+recon_scale, and the paper figures fig8, fig9 and table2)
 against the committed baselines in bench/baselines/ and fails when a
 metric regressed beyond its tolerance band.
 
@@ -69,16 +69,6 @@ SPECS = {
             "rounds_classic": ("exact", 0.0),
             "rounds_recursive": ("exact", 0.0),
             "mb_per_sec": ("floor", 0.50),
-        },
-    },
-    "BENCH_stream.json": {
-        "key": ("row", "profile", "window_kb", "clients"),
-        "metrics": {
-            "highwater_ratio": ("exact", 0.0),
-            "records": ("exact", 0.0),
-            "up_bytes": ("exact", 0.0),
-            "speedup": ("floor", 0.15),
-            "records_per_sec": ("floor", 0.50),
         },
     },
     # fig8/fig9 --json-out (traffic bytes) and table2 --json-out (CPU

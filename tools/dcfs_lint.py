@@ -36,15 +36,11 @@ Checks (all on src/ unless noted):
                   entries its records touch; a whole-namespace copy makes
                   every apply cost what the server holds instead.
   blocking-net    Direct Transport calls (client_send/server_send/client_poll/
-                  server_poll) outside src/net, src/rt, and the two sanctioned
-                  serial endpoints (src/core/client.cc, src/server/
-                  cloud_server.cc).  Reactor callbacks must go through the
-                  rt::Reactor ready queues and the endpoints' framed send
-                  helpers — a blocking send from an arbitrary callback stalls
-                  every stream behind it.  Inside src/rt the same check bans
-                  read_file/read_all: the reactor schedules chunk reads on the
-                  bounded window; a full-file read from a callback defeats the
-                  O(window) memory guarantee.
+                  client_poll_all/server_poll) outside src/net and the two
+                  sanctioned serial endpoints (src/core/client.cc,
+                  src/server/cloud_server.cc).  Everything else ships through
+                  the endpoints' send_frame, the one place a frame's encode,
+                  charge and transport stage are accounted.
   naked-trace     tracer.begin()/tracer.end() outside src/obs.  Spans must be
                   opened through the RAII obs::Span helper so every begin is
                   paired with an end on all exit paths (exceptions included) —
@@ -126,9 +122,8 @@ NAMESPACE_COPY_RE = re.compile(
     r"|^\s*[\w.>-]+\s*=\s*%(m)s\s*;" % {"m": NAMESPACE_MAP}
 )
 BLOCKING_NET_RE = re.compile(
-    r"\b(client_send|server_send|client_poll|server_poll)\s*\("
+    r"\b(client_send|server_send|client_poll(?:_all)?|server_poll)\s*\("
 )
-FULL_READ_RE = re.compile(r"\b(read_file|read_all)\s*\(")
 # Serial endpoints that own a Transport end and pump it from tick()/pump().
 BLOCKING_NET_ENDPOINTS = (
     os.path.join("src", "core", "client.cc"),
@@ -223,7 +218,6 @@ def lint_lines(rel: str, raw_lines: list[str]) -> list[dict]:
     in_rsyncx = rel.startswith(os.path.join("src", "rsyncx") + os.sep)
     in_par = rel.startswith(os.path.join("src", "par") + os.sep)
     in_net = rel.startswith(os.path.join("src", "net") + os.sep)
-    in_rt = rel.startswith(os.path.join("src", "rt") + os.sep)
     in_server = rel.startswith(os.path.join("src", "server") + os.sep)
     net_endpoint = rel in BLOCKING_NET_ENDPOINTS
     annotation_home = rel == ANNOTATION_HOME
@@ -282,22 +276,12 @@ def lint_lines(rel: str, raw_lines: list[str]) -> list[dict]:
                     "the records touch (CloudServer::touched_paths)"
                 ))
 
-        if not (in_net or in_rt or net_endpoint) and \
-                BLOCKING_NET_RE.search(code):
+        if not (in_net or net_endpoint) and BLOCKING_NET_RE.search(code):
             if not allowed("blocking-net", raw_lines, idx):
                 findings.append(finding(
                     rel, idx + 1, "blocking-net",
                     "direct Transport send/poll outside the serial "
-                    "endpoints — enqueue on the rt::Reactor and let the "
-                    "endpoint's pump ship it"
-                ))
-
-        if in_rt and FULL_READ_RE.search(code):
-            if not allowed("blocking-net", raw_lines, idx):
-                findings.append(finding(
-                    rel, idx + 1, "blocking-net",
-                    "full-file read inside src/rt — reactor callbacks must "
-                    "read chunk-by-chunk on the bounded stream window"
+                    "endpoints — ship through the endpoint's send_frame"
                 ))
 
         m = NAKED_NEW_RE.search(code)
@@ -399,6 +383,15 @@ SELF_TEST_CASES = [
     (os.path.join("src", "core", "client.cc"),
      "  EntryMap staged = ctx.files;",
      []),
+    (os.path.join("src", "baselines", "deltacfs_system.cc"),
+     "  transport_.client_send(std::move(frame));",
+     ["blocking-net"]),
+    (os.path.join("src", "core", "client.cc"),
+     "  transport_.client_send(std::move(frame), type);",
+     []),
+    (os.path.join("src", "baselines", "deltacfs_system.cc"),
+     "  auto frames = transport_.client_poll_all();",
+     ["blocking-net"]),
 ]
 
 
